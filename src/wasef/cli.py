@@ -95,7 +95,7 @@ def cmd_serve(args) -> int:
     )
     server = serve(page, args.bind, shaping)
     print(f"serving {page.page_id} on http://{server.host}:{server.port} "
-          f"(shaping={'on' if shaping.enabled else 'off'})")
+          f"(shaping={'on' if shaping.enabled else 'off'})", flush=True)
     try:
         import time
 

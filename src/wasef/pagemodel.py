@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 
-from .archive import ArchivedPage, normalize_url
+from .archive import ArchivedPage, is_js_content_type, normalize_url
 from .errors import EmptyDocument, MalformedUrl
 
 KIND_HTML = "html"
@@ -354,7 +354,7 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
 def _scripts_look_injecting(page: ArchivedPage, graph: ResourceGraph) -> bool:
     sources = [res.inline_text for res in graph.resources if res.kind == KIND_SCRIPT_INLINE]
     for ex in page.exchanges.values():
-        if ex.content_type and "javascript" in ex.content_type:
+        if is_js_content_type(ex.content_type):
             sources.append(ex.body.decode("utf-8", errors="replace"))
     for source in sources:
         if any(marker in source for marker in _INJECTION_MARKERS):

@@ -32,7 +32,7 @@ _HOP_BY_HOP = {
     "content-encoding",  # bodies are stored decoded
 }
 
-_CHUNK_QUANTUM = 0.01  # token bucket refill granularity, seconds
+_CHUNK_QUANTUM = 0.01  # shaped bodies go out in chunks of this many seconds of transfer
 
 
 @dataclass
@@ -47,26 +47,24 @@ class ShapingConfig:
 
 
 class _TokenBucket:
-    """Shared downlink throttle. Starts empty so an N-byte response takes at
-    least N/rate seconds of wall clock."""
+    """Shared downlink throttle on a virtual clock. Each consume() books the
+    link for amount/rate seconds, from now or from the end of the previous
+    booking if that is later, and sleeps until its booking ends. Idle time
+    banks nothing, so an N-byte response takes at least N/rate seconds of
+    wall clock. ``capacity`` is the chunk size senders consume at a time."""
 
     def __init__(self, rate: float):
         self.rate = rate
         self.capacity = max(1.0, rate * _CHUNK_QUANTUM)
-        self.tokens = 0.0
-        self.last = time.monotonic()
+        self.next_free = 0.0  # monotonic time the link is booked until
         self.lock = threading.Lock()
 
     def consume(self, amount: float) -> None:
-        while True:
-            with self.lock:
-                now = time.monotonic()
-                self.tokens = min(self.capacity, self.tokens + (now - self.last) * self.rate)
-                self.last = now
-                if self.tokens >= amount:
-                    self.tokens -= amount
-                    return
-                wait = (amount - self.tokens) / self.rate
+        with self.lock:
+            self.next_free = max(time.monotonic(), self.next_free) + amount / self.rate
+            until = self.next_free
+        wait = until - time.monotonic()
+        if wait > 0:
             time.sleep(wait)
 
 

@@ -242,23 +242,20 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
         if is_js_content_type(ex.content_type):
             script_texts[url] = _decode_html(ex.body)
 
-    base_sources = "\n".join(inline_texts + [handler_text])
+    # A name's references are counted as tokens: over the inline scripts and
+    # handlers, plus every script as it stands, minus the function's own body.
+    base_tokens = jsscan.token_counts("\n".join(inline_texts + [handler_text]))
+    indexes = {url: jsscan.index(text) for url, (text, _) in script_texts.items()}
     changed = True
     while changed:
         changed = False
-        all_spans = {url: jsscan.top_level_function_spans(text) for url, (text, _) in script_texts.items()}
-        for url, spans in all_spans.items():
-            text, codec = script_texts[url]
-            elsewhere = "\n".join(
-                other_text for other_url, (other_text, _) in script_texts.items() if other_url != url
-            )
+        for url, (text, codec) in script_texts.items():
             doomed = []
-            for name, start, end in spans:
+            for name, start, end in indexes[url].function_spans:
                 outside = (
-                    jsscan.count_references(name, text)
+                    base_tokens[name]
+                    + sum(ix.tokens[name] for ix in indexes.values())
                     - jsscan.count_references(name, text[start:end])
-                    + jsscan.count_references(name, elsewhere)
-                    + jsscan.count_references(name, base_sources)
                 )
                 if outside == 0:
                     doomed.append((start, end))
@@ -266,6 +263,7 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
                 for start, end in sorted(doomed, reverse=True):
                     text = text[:start] + text[end:]
                 script_texts[url] = (text, codec)
+                indexes[url] = jsscan.index(text)
                 changed = True
 
     replaced = {url: text.encode(codec) for url, (text, codec) in script_texts.items()}

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import select
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wasef
 from wasef.archive import load_page, store_page
 from wasef.cli import main
 from wasef.errors import ConfigError
@@ -303,3 +308,27 @@ class TestLoadConfigFile:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestServeCommand:
+    def test_serving_line_reaches_a_pipe(self, tmp_path):
+        make_fixtures(tmp_path, 1, seed=2)
+        pid = json.loads((tmp_path / "corpora" / "fixtures.json").read_text())["pages"][0]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(wasef.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wasef.cli", "serve", "--archive", str(tmp_path),
+             "--page", pid, "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 5.0)
+            assert ready, "no serving line within 5 s"
+            line = proc.stdout.readline().decode()
+            assert line.startswith(f"serving {pid} on http://127.0.0.1:")
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()

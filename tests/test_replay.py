@@ -8,7 +8,7 @@ import time
 import pytest
 
 from wasef.errors import BindError
-from wasef.replay import ReplayServer, ShapingConfig, serve
+from wasef.replay import ReplayServer, ShapingConfig, _TokenBucket, serve
 
 from conftest import page_from_parts
 
@@ -129,6 +129,13 @@ class TestShaping:
             elapsed = time.perf_counter() - start
             assert status == 200 and received == body
             assert elapsed >= 0.5  # 100000 / 200000
+
+    def test_idle_bucket_banks_nothing(self):
+        bucket = _TokenBucket(100000.0)
+        time.sleep(0.1)
+        start = time.monotonic()
+        bucket.consume(bucket.capacity)
+        assert time.monotonic() - start >= bucket.capacity / bucket.rate
 
     def test_invalid_shaping_rejected(self):
         with pytest.raises(ValueError):
