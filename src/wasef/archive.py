@@ -14,6 +14,7 @@ import binascii
 import hashlib
 import json
 import logging
+import os
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -151,13 +152,23 @@ def page_id_for_url(url: str) -> str:
     return f"{slug[:60] or 'page'}-{digest}"
 
 
+def _har_shape(value, kind: type, what: str, index: int):
+    """``value`` when it is of JSON type ``kind``; BodyDecodeError otherwise."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise BodyDecodeError(index, f"{what} is not {name}")
+    return value
+
+
 def _decode_har_body(content: dict, index: int) -> bytes:
     text = content.get("text")
     if text is None:
         return b""
+    _har_shape(text, str, "content.text", index)
     encoding = content.get("encoding")
     if encoding is None:
         return text.encode("utf-8")
+    _har_shape(encoding, str, "content.encoding", index)
     if encoding.lower() == "base64":
         try:
             return base64.b64decode(text, validate=True)
@@ -172,7 +183,9 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
     Duplicate (method, url) keys keep the first entry. Only GET and POST
     exchanges are archived; other methods are dropped with a warning. The
     root document is ``root_url_hint`` when given, otherwise the first
-    status-200 entry with an HTML content type.
+    status-200 entry with an HTML content type. Text that is not JSON, or
+    whose log, entries, requests or responses have the wrong shape, raises
+    BodyDecodeError naming the entry (-1 for the document itself).
     """
     if isinstance(har_text, bytes):
         har_text = har_text.decode("utf-8")
@@ -181,19 +194,21 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
     except json.JSONDecodeError as exc:
         raise BodyDecodeError(-1, f"HAR is not valid JSON: {exc}") from None
 
-    har_log = har.get("log", {})
-    entries = har_log.get("entries", [])
+    har = _har_shape(har, dict, "HAR", -1)
+    har_log = _har_shape(har.get("log", {}), dict, "log", -1)
+    entries = _har_shape(har_log.get("entries", []), list, "log.entries", -1)
     exchanges: dict[tuple[str, str], ArchivedExchange] = {}
     recorded_at = ""
-    for har_page in har_log.get("pages", []):
-        if har_page.get("startedDateTime"):
+    for har_page in _har_shape(har_log.get("pages", []), list, "log.pages", -1):
+        if _har_shape(har_page, dict, "log.pages[]", -1).get("startedDateTime"):
             recorded_at = har_page["startedDateTime"]
             break
 
     for index, entry in enumerate(entries):
-        request = entry.get("request", {})
-        response = entry.get("response", {})
-        method = request.get("method", "").upper()
+        entry = _har_shape(entry, dict, "entry", index)
+        request = _har_shape(entry.get("request", {}), dict, "request", index)
+        response = _har_shape(entry.get("response", {}), dict, "response", index)
+        method = _har_shape(request.get("method", ""), str, "request.method", index).upper()
         raw_url = request.get("url")
         if not method or not raw_url:
             log.warning("HAR entry %d lacks method/url; skipped", index)
@@ -205,12 +220,22 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
         key = (method, url)
         if key in exchanges:  # first entry wins
             continue
-        headers = [(h.get("name", ""), h.get("value", "")) for h in response.get("headers", [])]
-        body = _decode_har_body(response.get("content", {}) or {}, index)
+        headers = []
+        for header in _har_shape(response.get("headers", []), list, "response.headers", index):
+            header = _har_shape(header, dict, "response.headers[]", index)
+            headers.append((_har_shape(header.get("name", ""), str, "header name", index),
+                            _har_shape(header.get("value", ""), str, "header value", index)))
+        body = _decode_har_body(
+            _har_shape(response.get("content", {}) or {}, dict, "response.content", index), index
+        )
+        try:
+            status = int(response.get("status", 0))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: JSON's Infinity
+            raise BodyDecodeError(index, f"status {response.get('status')!r} is not an integer") from None
         exchanges[key] = ArchivedExchange(
             method=method,
             url=url,
-            status=int(response.get("status", 0)),
+            status=status,
             headers=headers,
             body=body,
             content_type=content_type_of(headers),
@@ -283,8 +308,28 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     return page.page_id
 
 
+def _confined_body_path(page_root: Path, body_file: str, dirs_inside: dict[str, bool]) -> Path | None:
+    """``page_root / body_file`` when it resolves inside ``page_root``, else
+    None. Each directory is resolved once per page (``dirs_inside``); the
+    file itself is resolved only when it is a symlink."""
+    head, name = os.path.split(body_file)
+    if head not in dirs_inside:
+        dirs_inside[head] = (page_root / head).resolve().is_relative_to(page_root)
+    path = page_root / body_file
+    if not dirs_inside[head] or name in ("", ".", ".."):
+        return None
+    if path.is_symlink() and not path.resolve().is_relative_to(page_root):
+        return None
+    return path
+
+
+_ENTRY_KEYS = ("method", "url", "status", "headers", "content_type", "body_file", "body_sha256", "body_len")
+
+
 def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
-    """Load a stored page, verifying every body against its digest."""
+    """Load a stored page, verifying every body against its digest. A
+    manifest entry that lacks a field, or whose body file resolves outside
+    the page directory, raises CorruptArchive."""
     page_dir = Path(root_dir) / page_id
     manifest_path = page_dir / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -293,13 +338,32 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptArchive(f"{page_id}: unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CorruptArchive(f"{page_id}: manifest is not an object")
     for key in ("page_id", "root_url", "recorded_at", "source", "exchanges"):
         if key not in manifest:
             raise CorruptArchive(f"{page_id}: manifest lacks {key!r}")
+    if not isinstance(manifest["exchanges"], list):
+        raise CorruptArchive(f"{page_id}: manifest exchanges is not a list")
 
+    page_root = page_dir.resolve()
+    dirs_inside: dict[str, bool] = {}
     exchanges: dict[tuple[str, str], ArchivedExchange] = {}
-    for entry in manifest["exchanges"]:
-        body_path = page_dir / entry["body_file"]
+    for index, entry in enumerate(manifest["exchanges"]):
+        if not isinstance(entry, dict):
+            raise CorruptArchive(f"{page_id}: exchange {index} is not an object")
+        for key in _ENTRY_KEYS:
+            if key not in entry:
+                raise CorruptArchive(f"{page_id}: exchange {index} lacks {key!r}")
+        for key in ("body_file", "method", "url", "content_type"):
+            if not isinstance(entry[key], str):
+                raise CorruptArchive(f"{page_id}: exchange {index} {key} is not a string")
+        try:
+            body_path = _confined_body_path(page_root, entry["body_file"], dirs_inside)
+        except (OSError, RuntimeError, ValueError) as exc:  # a symlink loop, a NUL byte
+            raise CorruptArchive(f"{page_id}: body file {entry['body_file']!r} does not resolve: {exc}") from None
+        if body_path is None:
+            raise CorruptArchive(f"{page_id}: body file {entry['body_file']} is outside the page")
         if not body_path.is_file():
             raise CorruptArchive(f"{page_id}: missing body file {entry['body_file']}")
         try:
@@ -313,11 +377,15 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
         digest = hashlib.sha256(body).hexdigest()
         if digest != entry["body_sha256"]:
             raise ChecksumMismatch(f"{page_id}: digest mismatch for {entry['body_file']}")
+        try:
+            headers = [(name, value) for name, value in entry["headers"]]
+        except (TypeError, ValueError):
+            raise CorruptArchive(f"{page_id}: exchange {index} headers are not name/value pairs") from None
         exchanges[(entry["method"], entry["url"])] = ArchivedExchange(
             method=entry["method"],
             url=entry["url"],
             status=entry["status"],
-            headers=[(name, value) for name, value in entry["headers"]],
+            headers=headers,
             body=body,
             content_type=entry["content_type"],
         )
@@ -331,13 +399,6 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
     )
     page.root_exchange()  # fail closed if the manifest lost its root
     return page
-
-
-def list_pages(root_dir: str | Path) -> list[str]:
-    root = Path(root_dir)
-    if not root.is_dir():
-        return []
-    return sorted(p.name for p in root.iterdir() if (p / MANIFEST_NAME).is_file())
 
 
 def save_corpus(corpus: Corpus, root_dir: str | Path) -> Path:

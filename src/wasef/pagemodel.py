@@ -383,13 +383,6 @@ def visual_weights(graph: ResourceGraph, text_weight_per_char: float = TEXT_WEIG
     return weights
 
 
-def request_count(graph: ResourceGraph) -> int:
-    """1 for the root plus each distinct non-inline sub-resource URL."""
-    urls = {res.url for res in graph.sub_resources() if res.kind != KIND_SCRIPT_INLINE}
-    urls.discard(graph.root.url)
-    return 1 + len(urls)
-
-
 def graph_to_dict(graph: ResourceGraph) -> dict:
     """JSON-friendly rendering of a graph (debug CLI output)."""
     return {

@@ -37,7 +37,8 @@ def page_from_parts(html, assets=(), host="site.test", root_path="/index.html"):
 
 def make_graph(root_bytes, items=(), host="http://h.test"):
     """Hand-built ResourceGraph. items: ("text", chars, offset) or
-    (kind, size, offset, name) tuples, in document order."""
+    (kind, size, offset, name) tuples, in document order; a name that
+    starts with "http" is taken as the whole URL."""
     root = Resource(url=f"{host}/", kind=KIND_HTML, bytes=root_bytes, discovery_index=0)
     resources = [root]
     blocks = []
@@ -48,7 +49,8 @@ def make_graph(root_bytes, items=(), host="http://h.test"):
         else:
             kind, size, offset, name = item
             resources.append(
-                Resource(url=f"{host}/{name}", kind=kind, bytes=size,
+                Resource(url=name if name.startswith("http") else f"{host}/{name}",
+                         kind=kind, bytes=size,
                          discovery_index=index, doc_offset=offset)
             )
         index += 1

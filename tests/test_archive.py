@@ -173,6 +173,53 @@ class TestImportHar:
         with pytest.raises(NoRootDocument):
             import_har(har, root_url_hint="http://s.test/missing")
 
+    @pytest.mark.parametrize(
+        "har",
+        [
+            [],
+            {"log": []},
+            {"log": "x"},
+            {"log": {"entries": {}}},
+            {"log": {"entries": "x"}},
+            {"log": {"pages": {}, "entries": []}},
+            {"log": {"pages": ["x"], "entries": []}},
+        ],
+    )
+    def test_malformed_document_is_typed(self, har):
+        with pytest.raises(BodyDecodeError) as exc_info:
+            import_har(json.dumps(har))
+        assert exc_info.value.entry_index == -1
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda entry: "x",
+            lambda entry: {**entry, "request": []},
+            lambda entry: {**entry, "request": {"method": 1, "url": "http://s.test/a.css"}},
+            lambda entry: {**entry, "response": []},
+            lambda entry: {**entry, "response": "x"},
+            lambda entry: {**entry, "response": {**entry["response"], "status": "abc"}},
+            lambda entry: {**entry, "response": {**entry["response"], "status": None}},
+            lambda entry: {**entry, "response": {**entry["response"], "status": float("inf")}},
+            lambda entry: {**entry, "response": {**entry["response"], "status": float("nan")}},
+            lambda entry: {**entry, "response": {**entry["response"], "headers": {}}},
+            lambda entry: {**entry, "response": {**entry["response"], "headers": ["x"]}},
+            lambda entry: {**entry, "response": {**entry["response"], "headers": [{"name": 1}]}},
+            lambda entry: {**entry, "response": {**entry["response"], "content": ["x"]}},
+            lambda entry: {**entry, "response": {**entry["response"], "content": {"text": 5}}},
+            lambda entry: {**entry, "response": {**entry["response"],
+                                                 "content": {"text": "x", "encoding": 5}}},
+        ],
+    )
+    def test_malformed_entry_is_typed(self, mangle):
+        entries = [
+            self._entry("http://s.test/", "text/html", "<p>x</p>"),
+            mangle(self._entry("http://s.test/a.css", "text/css", "body{}")),
+        ]
+        with pytest.raises(BodyDecodeError) as exc_info:
+            import_har(self._har(entries))
+        assert exc_info.value.entry_index == 1
+
 
 class TestStoreLoad:
     def test_round_trip_identity(self, tmp_path):
@@ -234,6 +281,67 @@ class TestStoreLoad:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptArchive):
             load_page("nope", tmp_path)
+
+    def _rewrite_entry(self, tmp_path, change):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        pid = store_page(page, tmp_path)
+        manifest_path = tmp_path / pid / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        change(manifest["exchanges"][1])
+        manifest_path.write_text(json.dumps(manifest))
+        return pid
+
+    @pytest.mark.parametrize(
+        "key",
+        ["body_len", "body_sha256", "body_file", "method", "url", "status", "headers", "content_type"],
+    )
+    def test_entry_without_field_is_corrupt(self, tmp_path, key):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.pop(key))
+        with pytest.raises(CorruptArchive, match=key):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize("body_file", ["../../../../etc/hostname", "/etc/hostname", "bodies/../../x.bin"])
+    def test_body_file_outside_page_is_corrupt(self, tmp_path, body_file):
+        (tmp_path / "x.bin").write_bytes(b"body{}")  # a real file one level up
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=body_file))
+        with pytest.raises(CorruptArchive, match="outside"):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize("link", ["bodies/out.bin", "outdir/1.bin"])
+    def test_symlink_out_of_page_is_corrupt(self, tmp_path, link):
+        (tmp_path / "x.bin").write_bytes(b"body{}")
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=link))
+        (tmp_path / pid / "bodies" / "out.bin").symlink_to(tmp_path / "x.bin")
+        (tmp_path / pid / "outdir").symlink_to(tmp_path)
+        with pytest.raises(CorruptArchive, match="outside"):
+            load_page(pid, tmp_path)
+
+    def test_symlink_within_page_loads(self, tmp_path):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file="bodies/in.bin"))
+        (tmp_path / pid / "bodies" / "in.bin").symlink_to("1.bin")
+        assert load_page(pid, tmp_path).lookup("http://site.test/a.css").body == b"body{}"
+
+    @pytest.mark.parametrize("key", ["body_file", "method", "url", "content_type"])
+    def test_non_string_field_is_corrupt(self, tmp_path, key):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update({key: ["x"]}))
+        with pytest.raises(CorruptArchive, match=key):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize("body_file", ["bodies/a\x00b.bin", "bodies/loop"])
+    def test_unresolvable_body_file_is_corrupt(self, tmp_path, body_file):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=body_file))
+        (tmp_path / pid / "bodies" / "loop").symlink_to("loop")
+        with pytest.raises(CorruptArchive):
+            load_page(pid, tmp_path)
+
+    def test_body_file_inside_page_by_a_detour_loads(self, tmp_path):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file="bodies/../bodies/1.bin"))
+        assert load_page(pid, tmp_path).lookup("http://site.test/a.css").body == b"body{}"
+
+    def test_malformed_headers_are_corrupt(self, tmp_path):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(headers=[["only-a-name"]]))
+        with pytest.raises(CorruptArchive):
+            load_page(pid, tmp_path)
 
     def test_restore_is_byte_identical(self, tmp_path):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])

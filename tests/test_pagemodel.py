@@ -3,6 +3,7 @@ import re
 import pytest
 
 from wasef.errors import EmptyDocument
+from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import (
     KIND_IFRAME,
     KIND_IMAGE,
@@ -12,7 +13,6 @@ from wasef.pagemodel import (
     KIND_SCRIPT_SYNC,
     KIND_STYLESHEET,
     parse_page,
-    request_count,
     visual_weights,
 )
 
@@ -179,7 +179,8 @@ def test_request_count_dedupes_urls():
     )
     graph = parse_page(page)
     # 1 root + a.png + s.css; the duplicate image and the inline script do not count.
-    assert request_count(graph) == 3
+    metrics = simulate_load(graph, NETWORK_PROFILES["3g"], DEVICE_PROFILES["lowend"])
+    assert metrics.request_count == 3
 
 
 def test_stylesheet_requires_rel():
