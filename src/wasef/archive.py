@@ -425,8 +425,14 @@ def load_corpus(name: str, root_dir: str | Path) -> Corpus:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptArchive(f"corpus {name!r} unreadable: {exc}") from None
-    return Corpus(
-        name=payload["name"],
-        pages=list(payload["pages"]),
-        group_labels=dict(payload.get("group_labels") or {}),
-    )
+    if not isinstance(payload, dict):
+        raise CorruptArchive(f"corpus {name!r}: not a JSON object")
+    corpus_name, pages = payload.get("name"), payload.get("pages")
+    group_labels = payload.get("group_labels") or {}
+    if not isinstance(corpus_name, str):
+        raise CorruptArchive(f"corpus {name!r}: 'name' must be a string")
+    if not isinstance(pages, list) or not all(isinstance(page_id, str) for page_id in pages):
+        raise CorruptArchive(f"corpus {name!r}: 'pages' must be a list of page ids")
+    if not isinstance(group_labels, dict):
+        raise CorruptArchive(f"corpus {name!r}: 'group_labels' must be an object")
+    return Corpus(name=corpus_name, pages=pages, group_labels=group_labels)

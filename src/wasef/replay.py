@@ -10,6 +10,7 @@ page. Every 404 is recorded in an arrival-ordered miss log.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from urllib.parse import urlsplit
 
 from .archive import ArchivedPage
 from .errors import BindError
+
+log = logging.getLogger(__name__)
 
 _HOP_BY_HOP = {
     "connection",
@@ -86,6 +89,7 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass
         except Exception:
+            log.exception("replay: %s %s failed; answering 400", self.command, self.path)
             try:
                 self.send_error(400)
             except Exception:

@@ -14,18 +14,17 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import jsscan
-from .archive import ArchivedExchange, ArchivedPage, is_js_content_type, normalize_url
-from .errors import MalformedUrl, TransformFailed, UnknownTransform
+from .archive import ArchivedExchange, ArchivedPage, is_js_content_type
+from .errors import TransformFailed, UnknownTransform
+from .pagemodel import ON_ATTR_RE, HtmlIndex, decode_body, html_index
 
 log = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"^[a-z0-9_-]+$")
-_ON_ATTR_RE = re.compile(r"""\s+on[a-zA-Z]+\s*=\s*("[^"]*"|'[^']*'|[^\s>]+)""")
 
 # Appended to every thinned image body; its length is the transform's
 # declared rounding overhead.
@@ -45,78 +44,6 @@ class VariantPage:
     transform: TransformSpec
     page: ArchivedPage
     provenance: dict
-
-
-class _TagScanner(HTMLParser):
-    """Locates script element spans and start tags carrying on* attributes,
-    as character offsets into the document text."""
-
-    def __init__(self, text: str):
-        super().__init__(convert_charrefs=True)
-        self._text = text
-        self._line_starts = [0]
-        for line in text.split("\n")[:-1]:
-            self._line_starts.append(self._line_starts[-1] + len(line) + 1)
-        self.script_spans: list[tuple[int, int, str | None]] = []  # (start, end, src)
-        self.handler_tags: list[tuple[int, int, str]] = []  # (start, end, replacement)
-        self._open_script: tuple[int, str | None] | None = None
-
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_starts[line - 1] + col
-
-    def handle_starttag(self, tag, attrs):
-        start = self._offset()
-        if tag == "script":
-            src = None
-            for name, value in attrs:
-                if name.lower() == "src" and value:
-                    src = value
-                    break
-            self._open_script = (start, src)
-            return
-        raw = self.get_starttag_text() or ""
-        cleaned = _ON_ATTR_RE.sub("", raw)
-        if cleaned != raw:
-            self.handler_tags.append((start, start + len(raw), cleaned))
-
-    def handle_startendtag(self, tag, attrs):
-        self.handle_starttag(tag, attrs)
-        if tag == "script":
-            self._finish_script(self._offset() + len(self.get_starttag_text() or ""))
-
-    def handle_endtag(self, tag):
-        if tag == "script" and self._open_script is not None:
-            close_start = self._offset()
-            end = self._text.find(">", close_start)
-            end = len(self._text) if end == -1 else end + 1
-            self._finish_script(end)
-
-    def _finish_script(self, end: int):
-        if self._open_script is None:
-            return
-        start, src = self._open_script
-        self.script_spans.append((start, end, src))
-        self._open_script = None
-
-    def finish(self):
-        if self._open_script is not None:  # unclosed script runs to EOF
-            self._finish_script(len(self._text))
-
-
-def _scan_html(text: str) -> _TagScanner:
-    scanner = _TagScanner(text)
-    scanner.feed(text)
-    scanner.close()
-    scanner.finish()
-    return scanner
-
-
-def _decode_html(body: bytes) -> tuple[str, str]:
-    try:
-        return body.decode("utf-8"), "utf-8"
-    except UnicodeDecodeError:
-        return body.decode("latin-1"), "latin-1"
 
 
 def _apply_edits(text: str, removals: list[tuple[int, int]], replacements: list[tuple[int, int, str]]) -> str:
@@ -163,17 +90,6 @@ def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls:
     )
 
 
-def _script_urls_in_html(page: ArchivedPage, spans) -> set[str]:
-    urls = set()
-    for _, _, src in spans:
-        if src:
-            try:
-                urls.add(normalize_url(src, base=page.root_url))
-            except MalformedUrl:
-                continue
-    return urls
-
-
 def _script_exchange_urls(page: ArchivedPage) -> set[str]:
     return {url for (_, url), ex in page.exchanges.items() if is_js_content_type(ex.content_type)}
 
@@ -185,39 +101,35 @@ def _identity(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     return _rebuild_page(page, None, set())
 
 
+def _root_index(page: ArchivedPage) -> HtmlIndex:
+    return html_index(page.root_exchange().body, page.root_url)
+
+
 def _js_strip(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     """Remove every script element and inline handler attribute, and drop
     script exchanges from the archive."""
-    text, codec = _decode_html(page.root_exchange().body)
-    scanner = _scan_html(text)
-    removals = [(s, e) for s, e, _ in scanner.script_spans]
-    new_text = _apply_edits(text, removals, scanner.handler_tags)
-    dropped = _script_urls_in_html(page, scanner.script_spans) | _script_exchange_urls(page)
-    return _rebuild_page(page, new_text.encode(codec), dropped)
+    index = _root_index(page)
+    removals = [(span.start, span.end) for span in index.script_spans]
+    new_text = _apply_edits(index.text, removals, list(index.handler_edits))
+    dropped = {span.url for span in index.script_spans if span.url is not None}
+    return _rebuild_page(page, new_text.encode(index.codec), dropped | _script_exchange_urls(page))
 
 
 def _js_block_thirdparty(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     """Remove external script elements whose host differs from the root host
     (exact host comparison), and drop their exchanges."""
     root_host = urlsplit(page.root_url).hostname or ""
-    text, codec = _decode_html(page.root_exchange().body)
-    scanner = _scan_html(text)
+    index = _root_index(page)
     removals = []
     dropped = set()
-    for start, end, src in scanner.script_spans:
-        if not src:
-            continue
-        try:
-            url = normalize_url(src, base=page.root_url)
-        except MalformedUrl:
-            continue
-        if (urlsplit(url).hostname or "") != root_host:
-            removals.append((start, end))
-            dropped.add(url)
+    for span in index.script_spans:
+        if span.url is not None and (urlsplit(span.url).hostname or "") != root_host:
+            removals.append((span.start, span.end))
+            dropped.add(span.url)
     if not removals:
         return _rebuild_page(page, None, set())
-    new_text = _apply_edits(text, removals, [])
-    return _rebuild_page(page, new_text.encode(codec), dropped)
+    new_text = _apply_edits(index.text, removals, [])
+    return _rebuild_page(page, new_text.encode(index.codec), dropped)
 
 
 def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
@@ -228,19 +140,14 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     plus inline handler attributes; names that only appear inside strings
     still count as references, so the pass only ever under-deletes.
     """
-    html_text, _ = _decode_html(page.root_exchange().body)
-    scanner = _scan_html(html_text)
-    inline_texts = [
-        html_text[s:e] for s, e, src in scanner.script_spans if not src
-    ]
-    handler_text = " ".join(
-        match.group(1) for match in _ON_ATTR_RE.finditer(html_text)
-    )
+    index = _root_index(page)
+    inline_texts = [index.text[span.start:span.end] for span in index.script_spans if not span.src]
+    handler_text = " ".join(match.group(1) for match in ON_ATTR_RE.finditer(index.text))
 
     script_texts: dict[str, tuple[str, str]] = {}  # url -> (text, codec)
     for (_, url), ex in page.exchanges.items():
         if is_js_content_type(ex.content_type):
-            script_texts[url] = _decode_html(ex.body)
+            script_texts[url] = decode_body(ex.body)
 
     # A name's references are counted as tokens: over the inline scripts and
     # handlers, plus every script as it stands, minus the function's own body.

@@ -361,6 +361,26 @@ class TestCorpus:
         with pytest.raises(CorruptArchive):
             load_corpus("ghost", tmp_path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            "fixtures",
+            {"pages": ["p1"]},
+            {"name": "c1"},
+            {"name": 7, "pages": ["p1"]},
+            {"name": "c1", "pages": "p1"},
+            {"name": "c1", "pages": {"p1": "landing"}},
+            {"name": "c1", "pages": [1, 2]},
+            {"name": "c1", "pages": ["p1"], "group_labels": ["landing"]},
+        ],
+    )
+    def test_malformed_corpus_is_corrupt(self, tmp_path, payload):
+        (tmp_path / "corpora").mkdir()
+        (tmp_path / "corpora" / "c1.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArchive, match="c1"):
+            load_corpus("c1", tmp_path)
+
 
 def test_page_id_is_stable_and_safe():
     pid = page_id_for_url("HTTP://Example.COM:80/a/b.html")

@@ -94,6 +94,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="empty"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("group_labels", [["landing"], "landing", 3])
+    def test_inline_group_labels_must_be_an_object(self, tmp_path, group_labels):
+        corpus = make_fixtures(tmp_path, 1, seed=1)
+        raw = self._raw(tmp_path, tmp_path / "out", corpus.pages)
+        raw["corpus"]["group_labels"] = group_labels
+        with pytest.raises(ConfigError, match="group_labels"):
+            config_from_dict(raw)
+
+    def test_malformed_named_corpus_is_a_config_error(self, tmp_path):
+        (tmp_path / "corpora").mkdir()
+        (tmp_path / "corpora" / "c1.json").write_text(json.dumps({"pages": ["p1"]}), encoding="utf-8")
+        raw = self._raw(tmp_path, tmp_path / "out", [])
+        raw["corpus"] = "c1"
+        with pytest.raises(ConfigError, match="corpus"):
+            config_from_dict(raw)
+
     def test_identity_implied_when_absent(self, tmp_path):
         corpus = make_fixtures(tmp_path, 1, seed=1)
         raw = self._raw(tmp_path, tmp_path / "out", corpus.pages)

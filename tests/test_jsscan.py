@@ -8,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 from wasef import jsscan
 from wasef.archive import is_js_content_type, load_page
 from wasef.fixtures import make_fixtures
-from wasef.transform import (
-    _ON_ATTR_RE,
-    TransformSpec,
-    _decode_html,
-    _scan_html,
-    apply_transform,
-)
+from wasef.transform import TransformSpec, apply_transform
 
 from conftest import page_from_parts
+from test_pagemodel_oracle import REF_ON_ATTR_RE, ref_decode_html, ref_scan_html
 
 # --- reference scanner: the per-character original, kept as the oracle -----
 
@@ -75,14 +70,14 @@ def ref_count_references(name, text):
 def ref_js_dce_bodies(page):
     """Script bodies after the original js-dce fixpoint: four reference
     counts per function, every script re-scanned on every pass."""
-    html_text, _ = _decode_html(page.root_exchange().body)
-    scanner = _scan_html(html_text)
+    html_text, _ = ref_decode_html(page.root_exchange().body)
+    scanner = ref_scan_html(html_text)
     inline_texts = [html_text[s:e] for s, e, src in scanner.script_spans if not src]
-    handler_text = " ".join(m.group(1) for m in _ON_ATTR_RE.finditer(html_text))
+    handler_text = " ".join(m.group(1) for m in REF_ON_ATTR_RE.finditer(html_text))
     script_texts = {}
     for (_, url), ex in page.exchanges.items():
         if is_js_content_type(ex.content_type):
-            script_texts[url] = _decode_html(ex.body)
+            script_texts[url] = ref_decode_html(ex.body)
     base_sources = "\n".join(inline_texts + [handler_text])
     changed = True
     while changed:

@@ -1,8 +1,13 @@
+import copy
+import html.parser
 import re
 
 import pytest
 
+from wasef.archive import load_page
 from wasef.errors import EmptyDocument
+from wasef.experiment import config_from_dict, run_experiment
+from wasef.fixtures import make_fixtures
 from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import (
     KIND_IFRAME,
@@ -15,6 +20,7 @@ from wasef.pagemodel import (
     parse_page,
     visual_weights,
 )
+from wasef.transform import TransformSpec, apply_transform
 
 from conftest import page_from_parts
 
@@ -233,3 +239,82 @@ class TestInteractiveElements:
         a = parse_page(page).interactive_elements[0].identity_key
         b = parse_page(page).interactive_elements[0].identity_key
         assert a == b and a.startswith("button:handler:")
+
+
+class TestIndexCache:
+    """parse_page binds a cached HtmlIndex; no graph may share state with
+    another, and each binds its own page's sizes."""
+
+    def test_mutating_one_graph_leaves_the_next_untouched(self):
+        page = page_from_parts(
+            '<html><body><img src="a.png">some text<script>go()</script></body></html>',
+            assets=[("/a.png", "image/png", b"\x00" * 300)],
+        )
+        first = parse_page(page)
+        expected = copy.deepcopy(first)
+        for res in first.resources:
+            res.bytes, res.doc_offset, res.missing, res.inline_text = 1, 9.0, True, "x"
+        for block in first.text_blocks:
+            block.text, block.char_count, block.doc_offset = "changed", 1, 9.0
+        first.resources.append(first.resources[1])
+        first.text_blocks.clear()
+        first.interactive_elements.clear()
+        first.tag_histogram["img"] = 99
+        assert parse_page(page) == expected
+
+    def test_same_root_binds_each_pages_own_bodies(self):
+        html = '<html><body><img src="a.png"><img src="b.png">text</body></html>'
+        page = page_from_parts(
+            html,
+            assets=[("/a.png", "image/png", b"\x00" * 800), ("/b.png", "image/png", b"\x01" * 400)],
+        )
+        thinner = page_from_parts(html, assets=[("/a.png", "image/png", b"\x00" * 100)])
+
+        def sizes(graph):
+            return [(r.bytes, r.missing, r.visual_weight) for r in graph.sub_resources()]
+
+        assert sizes(parse_page(page)) == [(800, False, 800.0), (400, False, 400.0)]
+        assert sizes(parse_page(thinner)) == [(100, False, 100.0), (0, True, 0.0)]
+        assert sizes(parse_page(page)) == [(800, False, 800.0), (400, False, 400.0)]
+
+    def test_one_tokenizer_feed_per_distinct_root_per_run(self, tmp_path, monkeypatch):
+        archive = tmp_path / "archive"
+        corpus = make_fixtures(archive, 20, seed=5)
+        solutions = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]
+        roots = set()
+        for page_id in corpus.pages:
+            page = load_page(page_id, archive)
+            roots.add((page.root_exchange().body, page.root_url))
+            for name in solutions:
+                variant = apply_transform(TransformSpec(name=name), page).page
+                roots.add((variant.root_exchange().body, variant.root_url))
+
+        feeds = []
+        original_feed = html.parser.HTMLParser.feed
+
+        def counting_feed(parser, data):
+            feeds.append(len(data))
+            return original_feed(parser, data)
+
+        monkeypatch.setattr(html.parser.HTMLParser, "feed", counting_feed)
+        config = config_from_dict(
+            {
+                "archive_dir": str(archive),
+                "out_dir": str(tmp_path / "out"),
+                "corpus": "fixtures",
+                "solutions": solutions,
+            }
+        )
+        assert run_experiment(config, write_files=False).exit_code == 0
+        assert len(feeds) == len(roots) < 20 * len(solutions)
+        assert run_experiment(config, write_files=False).exit_code == 0
+        assert len(feeds) == 2 * len(roots)
+
+        # Two pages' roots all fit in the cache at once, so a second run over
+        # them parses again only because each run starts with an empty cache.
+        feeds.clear()
+        config.corpus.pages = corpus.pages[:2]
+        run_experiment(config, write_files=False)
+        first_run = len(feeds)
+        run_experiment(config, write_files=False)
+        assert len(feeds) == 2 * first_run > 0

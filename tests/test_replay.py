@@ -1,6 +1,7 @@
 import hashlib
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from wasef.errors import BindError
-from wasef.replay import ReplayServer, ShapingConfig, _TokenBucket, serve
+from wasef.replay import ReplayServer, ShapingConfig, _ReplayHandler, _TokenBucket, serve
 
 from conftest import page_from_parts
 
@@ -152,6 +153,19 @@ class TestRobustness:
             # The server must still answer normal requests afterwards.
             status, _, _ = _get(server, "/index.html", host_header="site.test")
             assert status == 200
+
+    def test_handler_error_is_logged_with_traceback(self, plain_page, monkeypatch, caplog):
+        def explode(handler):
+            raise RuntimeError("lookup exploded")
+
+        monkeypatch.setattr(_ReplayHandler, "_lookup_and_send", explode)
+        with caplog.at_level(logging.ERROR, logger="wasef.replay"):
+            with serve(plain_page) as server:
+                status, _, _ = _get(server, "/a.css", host_header="site.test")
+        assert status == 400
+        [record] = [r for r in caplog.records if r.name == "wasef.replay"]
+        assert "GET /a.css" in record.getMessage()
+        assert record.exc_info is not None and "lookup exploded" in str(record.exc_info[1])
 
     def test_concurrent_requests(self, plain_page):
         with serve(plain_page) as server:
