@@ -2,31 +2,28 @@
 
 Subcommands: import-har, inspect, transform, serve, evaluate, similarity,
 report, run, fixtures. The WASEF_ARCHIVE environment variable supplies a
-default for --archive. Exit codes: 0 success, 2 configuration error,
-3 partial failure (skips present), 4 total failure.
+default for --archive. run, evaluate and report are thin wrappers over the
+one pipeline in ``experiment``: evaluate is run without files (results.json
+aside), and report builds run's report bundle from the files they write.
+Exit codes: 0 success, 2 configuration error or unreadable input, 3 partial
+failure (a page or pair skipped), 4 total failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from . import experiment, pagemodel, report, similarity, stats, transform
-from .archive import import_har, load_corpus, load_page, store_page
+from . import experiment, pagemodel, report, similarity
+from .archive import Corpus, import_har, load_corpus, load_page, store_page
 from .errors import ConfigError, WasefError
 from .fixtures import make_fixtures
-from .loadsim import metrics_from_dict, simulate_load
 from .replay import ShapingConfig, serve
-from .report import ReportBundle
 from .transform import TransformSpec, apply_transform, list_transforms
-
-log = logging.getLogger(__name__)
-
 
 def _archive_dir(args) -> str:
     archive = getattr(args, "archive", None) or os.environ.get("WASEF_ARCHIVE")
@@ -45,9 +42,20 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return params
 
 
+def _corpus(args, archive: str) -> Corpus:
+    if args.corpus:
+        return load_corpus(args.corpus, archive)
+    if args.page:
+        return Corpus(name=args.page, pages=[args.page])
+    raise ConfigError("page", "pass --page or --corpus")
+
+
 def cmd_import_har(args) -> int:
     archive = _archive_dir(args)
-    har_bytes = Path(args.har).read_bytes()
+    try:
+        har_bytes = Path(args.har).read_bytes()
+    except OSError as exc:
+        raise ConfigError("har", f"cannot read {args.har}: {exc}") from None
     page = import_har(har_bytes, root_url_hint=args.root_url)
     store_page(page, archive)
     print(page.page_id)
@@ -70,18 +78,9 @@ def cmd_transform(args) -> int:
         return 0
     if not args.solution:
         raise ConfigError("solution", "--solution is required")
-    if args.corpus:
-        page_ids = load_corpus(args.corpus, archive).pages
-    elif args.page:
-        page_ids = [args.page]
-    else:
-        raise ConfigError("page", "pass --page or --corpus")
+    page_ids = _corpus(args, archive).pages
     spec = TransformSpec(name=args.solution, params=_parse_params(args.param))
-    out_dir = args.out or archive
-    for page_id in page_ids:
-        page = load_page(page_id, archive)
-        variant = apply_transform(spec, page)
-        store_page(variant.page, out_dir)
+    for variant in experiment.transform_pages(spec, page_ids, archive, args.out or archive):
         print(f"{variant.page.page_id} bytes_removed={variant.provenance['bytes_removed']}")
     return 0
 
@@ -113,35 +112,23 @@ def cmd_serve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     archive = _archive_dir(args)
-    if args.corpus:
-        page_ids = load_corpus(args.corpus, archive).pages
-    elif args.page:
-        page_ids = [args.page]
-    else:
-        raise ConfigError("page", "pass --page or --corpus")
-    net = experiment.resolve_network(args.network)
-    dev = experiment.resolve_device(args.device)
-    solutions = [s.strip() for s in args.solutions.split(",") if s.strip()]
+    corpus = _corpus(args, archive)
+    experiment.check_corpus(corpus, archive)
+    solutions = [TransformSpec(name=s.strip()) for s in args.solutions.split(",") if s.strip()]
     if not solutions:
         raise ConfigError("solutions", "must name at least one transform")
-    records = []
-    failures = 0
-    for page_id in page_ids:
-        page = load_page(page_id, archive)
-        for name in solutions:
-            try:
-                variant = apply_transform(TransformSpec(name=name), page)
-                graph = pagemodel.parse_page(variant.page)
-                metrics = simulate_load(graph, net, dev)
-                records.append((page_id, name, metrics))
-            except WasefError as exc:
-                failures += 1
-                log.warning("skipped (%s, %s): %s", page_id, name, exc)
-    experiment.write_results(records, args.out)
-    print(f"{len(records)} records written to {args.out}")
-    if not records:
-        return 4
-    return 3 if failures else 0
+    config = experiment.ExperimentConfig(
+        archive_dir=archive,
+        out_dir=str(Path(args.out).parent),
+        corpus=corpus,
+        solutions=solutions,
+        network=experiment.resolve_network(args.network),
+        device=experiment.resolve_device(args.device),
+    )
+    result = experiment.run_experiment(config, write_files=False)
+    experiment.write_results(result.records, args.out)
+    print(f"{len(result.records)} records written to {args.out}")
+    return result.exit_code
 
 
 def cmd_similarity(args) -> int:
@@ -150,40 +137,17 @@ def cmd_similarity(args) -> int:
     spec = TransformSpec(name=args.solution, params=_parse_params(args.param))
     variant = apply_transform(spec, page)
     scores = similarity.score_pages(page, variant.page)
-    row = {"page_id": page.page_id, "solution": args.solution}
-    row.update(similarity.scores_to_dict(scores))
-    print(json.dumps(row, indent=2))
+    print(json.dumps(experiment.similarity_rows([(page.page_id, args.solution, scores)])[0], indent=2))
     return 0
 
 
 def cmd_report(args) -> int:
-    results_rows = json.loads(Path(args.results).read_text(encoding="utf-8"))
-    records = [
-        (row["page_id"], row["solution"], metrics_from_dict(row)) for row in results_rows
-    ]
-    similarity_table = []
-    if args.similarity:
-        for row in json.loads(Path(args.similarity).read_text(encoding="utf-8")):
-            scores = similarity.SimilarityScores(
-                structural=row["structural"],
-                text_sim=row.get("text_sim", 0.0),
-                image_sim=row.get("image_sim", 0.0),
-                element_sim=row.get("element_sim", 0.0),
-                functional=row.get("functional"),
-            )
-            similarity_table.append((row["page_id"], row["solution"], scores))
-    deltas, skips = stats.compute_deltas(records, baseline_solution=args.baseline)
-    summaries = stats.summarize_deltas(deltas)
-    experiment_id = hashlib.sha256(
-        json.dumps(results_rows, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:12]
-    bundle = ReportBundle(
-        experiment_id=experiment_id,
-        config_snapshot={"results": Path(args.results).name, "baseline": args.baseline},
-        summaries=summaries,
-        similarity_table=similarity_table,
-        skip_report=skips,
-        deltas=deltas,
+    records = experiment.read_results(args.results)
+    similarity_table = experiment.read_similarity(args.similarity) if args.similarity else []
+    snapshot = {"results": Path(args.results).name, "baseline": args.baseline}
+    # The experiment id digests the results rows, not the snapshot.
+    bundle = experiment.build_bundle(
+        records, similarity_table, [], snapshot, experiment.result_rows(records), args.baseline
     )
     paths = report.write_bundle(bundle, args.out)
     for name in sorted(paths):
@@ -246,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtt-ms", dest="rtt_ms", type=float, default=0.0)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("evaluate", help="simulate pages under a network/device profile")
+    p = sub.add_parser("evaluate", help="run without files: write results.json only; skips exit 3")
     p.add_argument("--archive")
     p.add_argument("--page")
     p.add_argument("--corpus")
-    p.add_argument("--solutions", default="identity")
+    p.add_argument("--solutions", default="identity", help="comma-separated; exactly these are run")
     p.add_argument("--network", default="3g")
     p.add_argument("--device", default="lowend")
     p.add_argument("--out", default="results.json")
@@ -263,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="K=V")
     p.set_defaults(func=cmd_similarity)
 
-    p = sub.add_parser("report", help="emit CSV/JSON/HTML reports from results files")
+    p = sub.add_parser("report", help="build run's CSV/JSON/HTML report bundle from results files")
     p.add_argument("--results", required=True)
     p.add_argument("--similarity")
     p.add_argument("--baseline", default="identity")

@@ -1,22 +1,25 @@
-"""End-to-end pipeline: apply each solution to each corpus page, simulate
+"""The one pipeline: apply each solution to each corpus page, simulate
 every variant under one network/device pair, score similarity against the
-original, then emit delta statistics and report files.
+original, then build delta statistics into a report bundle.
 
-The pipeline is replicable: (config, archive) fully determines every output
-byte. Per-(page, solution) failures become skip entries, not aborts.
+``wasef run`` is run_experiment writing every file; ``wasef evaluate`` is
+run_experiment writing none, then write_results; ``wasef report`` reads the
+files back (read_results, read_similarity) and calls build_bundle.
 
-Pages are streamed: run_experiment loads and parses one page, evaluates it
-under every solution, and drops it before loading the next, so only one
-page's bodies are held at a time. Every reuse of a parsed root document
-(pagemodel.html_index) and of a scanned script (jsscan.index) falls within
-one page, which is why those caches stay small. The HTML cache is cleared
-when a run starts, so each run parses its documents itself.
+(config, archive) fully determines every output byte. Failures are skips,
+each logged at WARNING where it is recorded: a page that fails to load or
+parse is skipped under every solution ("*"), and a (page, solution) pair
+that raises is skipped alone. The exit code counts these skips only: 0 for
+none, 3 for some, 4 when nothing was evaluated. A page below min_page_bytes
+is a skip too, but configuration, not a failure. A pair with no baseline or
+variant record has no deltas and joins the skip report in build_bundle.
 
-Evaluation is serial. ``parallelism`` is still validated and accepted but
-changes nothing. A thread pool over (page, solution) pairs ran slower than
-the serial loop: a 200-page, five-solution run took 3.45 s with two threads
-against 1.87 s serially on a 2-vCPU host, since the work is Python
-computation that holds the interpreter lock.
+Pages are streamed, one at a time under every solution, so the HTML
+(pagemodel.html_index) and script (jsscan.index) caches need hold only one
+page; the HTML cache is cleared when a run starts. Evaluation is serial and
+``parallelism`` changes nothing: two threads took 3.45 s against 1.87 s
+serially for 200 pages and five solutions on a 2-vCPU host, since the work
+is Python computation that holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import pagemodel, report, similarity, stats, transform
+from . import pagemodel, report, similarity, stats
 from .archive import ArchivedPage, Corpus, load_corpus, load_page, store_page
 from .errors import ConfigError, WasefError
 from .loadsim import (
@@ -36,10 +39,10 @@ from .loadsim import (
     DeviceProfile,
     NetworkProfile,
     PageMetrics,
-    metrics_to_dict,
     simulate_load,
 )
 from .report import ReportBundle
+from .similarity import SimilarityScores
 from .transform import TransformSpec, apply_transform
 
 log = logging.getLogger(__name__)
@@ -150,6 +153,17 @@ def _resolve_solutions(raw, field: str = "solutions") -> list[TransformSpec]:
     return specs
 
 
+def check_corpus(corpus: Corpus, archive_dir: str | Path) -> None:
+    """Raise ConfigError unless the corpus is non-empty, unique and archived."""
+    if not corpus.pages:
+        raise ConfigError("corpus.pages", "corpus is empty")
+    if len(set(corpus.pages)) != len(corpus.pages):
+        raise ConfigError("corpus.pages", "page ids must be unique")
+    for page_id in corpus.pages:
+        if not (Path(archive_dir) / page_id / "manifest.json").is_file():
+            raise ConfigError("corpus.pages", f"page {page_id!r} not found in archive")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a config mapping (one JSON file) into an ExperimentConfig."""
     if not isinstance(raw, dict):
@@ -179,13 +193,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     else:
         raise ConfigError("corpus", "must be a corpus name or an inline object")
-    if not corpus.pages:
-        raise ConfigError("corpus.pages", "corpus is empty")
-    if len(set(corpus.pages)) != len(corpus.pages):
-        raise ConfigError("corpus.pages", "page ids must be unique")
-    for page_id in corpus.pages:
-        if not (Path(archive_dir) / page_id / "manifest.json").is_file():
-            raise ConfigError("corpus.pages", f"page {page_id!r} not found in archive")
+    check_corpus(corpus, archive_dir)
 
     parallelism = raw.get("parallelism", 1)
     if not isinstance(parallelism, int) or parallelism < 1:
@@ -210,14 +218,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path, what: str):
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
-    return config_from_dict(raw)
+        raise ConfigError(what, f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ConfigError(what, f"invalid JSON in {path}: {exc}") from None
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, "config"))
 
 
 @dataclass
@@ -240,17 +251,17 @@ def _evaluate_pair(
         store_page(variant.page, variants_dir)
     variant_graph = pagemodel.parse_page(variant.page)
     metrics = simulate_load(variant_graph, config.network, config.device)
-    scores = similarity.structural_similarity(original_graph, variant_graph)
-    scores.functional = similarity.functional_similarity_graphs(
-        original_graph, variant.page, variant_graph
-    )
-    return metrics, scores
+    return metrics, similarity.score_graphs(original_graph, variant.page, variant_graph)
+
+
+def _skip(skips: list, page_id: str, solution: str, reason) -> None:
+    log.warning("skipped (%s, %s): %s", page_id, solution, reason)
+    skips.append((page_id, solution, str(reason)))
 
 
 def run_experiment(config: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
-    """Run the full pipeline. Exit code 0 means every page evaluated under
-    every solution; 3 means partial (skips present); 4 means nothing was
-    evaluated."""
+    """Run the pipeline; with write_files, write results.json,
+    similarity.json, the report and every variant under out_dir."""
     out_dir = Path(config.out_dir)
     variants_dir = out_dir / "variants" if write_files else None
     if write_files:
@@ -260,53 +271,36 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True) -> Experi
     records: list[tuple[str, str, PageMetrics]] = []
     similarity_table = []
     skips: list[tuple[str, str, str]] = []
-    filtered: set[str] = set()
+    filtered = 0
     for page_id in config.corpus.pages:
         try:
             page = load_page(page_id, config.archive_dir)
             if config.min_page_bytes and page.total_bytes() < config.min_page_bytes:
-                # Config-driven exclusion, reported for visibility but not a failure.
-                filtered.add(page_id)
-                skips.append((page_id, "*", f"below size floor {config.min_page_bytes}"))
+                filtered += 1
+                _skip(skips, page_id, "*", f"below size floor {config.min_page_bytes}")
                 continue
             graph = pagemodel.parse_page(page)
         except WasefError as exc:
-            skips.append((page_id, "*", str(exc)))
+            _skip(skips, page_id, "*", exc)
             continue
         for spec in config.solutions:
             try:
                 metrics, scores = _evaluate_pair(page, graph, spec, config, variants_dir)
             except Exception as exc:
-                skips.append((page_id, spec.name, str(exc)))
+                _skip(skips, page_id, spec.name, exc)
                 continue
             records.append((page_id, spec.name, metrics))
             similarity_table.append((page_id, spec.name, scores))
     records.sort(key=lambda r: (r[0], r[1]))
     similarity_table.sort(key=lambda r: (r[0], r[1]))
 
-    deltas, delta_skips = stats.compute_deltas(records)
-    skips.extend(delta_skips)
-    summaries = stats.summarize_deltas(deltas, config.corpus.group_labels)
-
     snapshot = config.snapshot()
-    experiment_id = hashlib.sha256(
-        json.dumps(snapshot, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:12]
-    bundle = ReportBundle(
-        experiment_id=experiment_id,
-        config_snapshot=snapshot,
-        summaries=summaries,
-        similarity_table=similarity_table,
-        skip_report=sorted(skips),
-        deltas=deltas,
+    bundle = build_bundle(
+        records, similarity_table, skips, snapshot, snapshot, group_labels=config.corpus.group_labels
     )
-
-    # 4: nothing evaluated at all; 3: evaluated but with failures; 0: clean.
-    # Size-filter exclusions are configuration, not failures.
-    failures = [s for s in skips if s[0] not in filtered]
     if not records:
         exit_code = 4
-    elif failures:
+    elif len(skips) > filtered:
         exit_code = 3
     else:
         exit_code = 0
@@ -315,27 +309,124 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True) -> Experi
     if write_files:
         paths["results.json"] = write_results(records, out_dir / "results.json")
         paths["similarity.json"] = write_similarity(similarity_table, out_dir / "similarity.json")
-        for name, path in report.write_bundle(bundle, out_dir / "report").items():
-            paths[name] = path
+        paths.update(report.write_bundle(bundle, out_dir / "report"))
     return ExperimentResult(bundle=bundle, records=records, exit_code=exit_code, paths=paths)
 
 
+def build_bundle(
+    records: list[tuple[str, str, PageMetrics]],
+    similarity_table: list[tuple[str, str, SimilarityScores]],
+    skips: list[tuple[str, str, str]],
+    snapshot: dict,
+    id_source,
+    baseline: str = "identity",
+    group_labels: dict[str, str] | None = None,
+) -> ReportBundle:
+    """Deltas against the baseline, their summaries, and an experiment id
+    that digests the JSON value id_source. Pairs without deltas join skips."""
+    deltas, delta_skips = stats.compute_deltas(records, baseline_solution=baseline)
+    summaries = stats.summarize_deltas(deltas, group_labels)
+    experiment_id = hashlib.sha256(
+        json.dumps(id_source, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:12]
+    return ReportBundle(
+        experiment_id=experiment_id,
+        config_snapshot=snapshot,
+        summaries=summaries,
+        similarity_table=similarity_table,
+        skip_report=sorted(skips + delta_skips),
+        deltas=deltas,
+    )
+
+
+def transform_pages(spec: TransformSpec, page_ids, archive_dir, out_dir):
+    """Apply one solution to each page; store each variant and yield it."""
+    for page_id in page_ids:
+        variant = apply_transform(spec, load_page(page_id, archive_dir))
+        store_page(variant.page, out_dir)
+        yield variant
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _pairs(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_number, pair)) for pair in value
+    )
+
+
+# Per file: the class a row holds, a check for each field after page_id and
+# solution in file order, and defaults for the fields a row may omit.
+_TABLES = {
+    "results": (
+        PageMetrics,
+        {**dict.fromkeys((f.name for f in fields(PageMetrics)), _number), "paint_timeline": _pairs},
+        {"paint_timeline": []},
+    ),
+    "similarity": (
+        SimilarityScores,
+        {
+            "structural": _number,
+            "functional": lambda value: value is None or _number(value),
+            **dict.fromkeys(("text_sim", "image_sim", "element_sim"), _number),
+        },
+        {"functional": None, "text_sim": 0.0, "image_sim": 0.0, "element_sim": 0.0},
+    ),
+}
+
+
+def _rows(table: list[tuple[str, str, object]], what: str) -> list[dict]:
+    names = _TABLES[what][1]
+    return [{"page_id": p, "solution": s, **{n: getattr(value, n) for n in names}} for p, s, value in table]
+
+
+def result_rows(records: list[tuple[str, str, PageMetrics]]) -> list[dict]:
+    """One results.json row per record, in the order given."""
+    return _rows(records, "results")
+
+
+def similarity_rows(similarity_table: list[tuple[str, str, SimilarityScores]]) -> list[dict]:
+    """One similarity.json row per entry, in the order given."""
+    return _rows(similarity_table, "similarity")
+
+
 def write_results(records: list[tuple[str, str, PageMetrics]], path: str | Path) -> Path:
-    """One JSON record per (page, solution), sorted, with every metric field."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for page_id, solution, metrics in sorted(records, key=lambda r: (r[0], r[1])):
-        row = {"page_id": page_id, "solution": solution}
-        row.update(metrics_to_dict(metrics))
-        rows.append(row)
-    path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
-    return path
+    """One JSON row per (page, solution), sorted, with every metric field."""
+    return report.write_json(result_rows(sorted(records, key=lambda r: (r[0], r[1]))), path)
 
 
 def write_similarity(similarity_table, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = report.similarity_table_to_json(similarity_table)
-    path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
-    return path
+    return report.write_json(similarity_rows(sorted(similarity_table, key=lambda r: (r[0], r[1]))), path)
+
+
+def _read_rows(path: str | Path, what: str) -> list[tuple]:
+    """The (page, solution, value) entries of a results.json or
+    similarity.json file. Any other content raises ConfigError(what, ...)."""
+    cls, checks, defaults = _TABLES[what]
+    rows = _read_json(path, what)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ConfigError(what, f"{path}: must be a JSON list of row objects")
+    table = []
+    for index, row in enumerate(rows):
+        row = {**defaults, **row}
+        bad = [key for key in ("page_id", "solution") if not isinstance(row.get(key), str)]
+        bad += [key for key, check in checks.items() if key not in row or not check(row[key])]
+        if bad:
+            raise ConfigError(what, f"{path}: row {index}: {bad[0]!r} is missing or mistyped")
+        table.append((row["page_id"], row["solution"], cls(**{key: row[key] for key in checks})))
+    return table
+
+
+def read_results(path: str | Path) -> list[tuple[str, str, PageMetrics]]:
+    """The inverse of write_results, in file order."""
+    records = _read_rows(path, "results")
+    for _, _, metrics in records:
+        metrics.paint_timeline = [(t, vc) for t, vc in metrics.paint_timeline]
+    return records
+
+
+def read_similarity(path: str | Path) -> list[tuple[str, str, SimilarityScores]]:
+    """The inverse of write_similarity, in file order."""
+    return _read_rows(path, "similarity")

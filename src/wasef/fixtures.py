@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .archive import ArchivedExchange, ArchivedPage, Corpus, normalize_url, page_id_for_url, save_corpus, store_page
-from .errors import StorageError
+from .errors import ConfigError, StorageError
 
 THIRDPARTY_HOST = "cdn.thirdparty.test"
 RECORDED_AT = "2021-06-01T00:00:00Z"
@@ -283,7 +283,7 @@ def make_fixtures(
     Pages alternate landing/internal group labels.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ConfigError("count", "must be at least 1")
     pages = []
     labels: dict[str, str] = {}
     for index in range(count):

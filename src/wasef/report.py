@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import StorageError
-from .similarity import SimilarityScores, scores_to_dict
+from .similarity import SimilarityScores
 from .stats import DeltaRecord, DistributionSummary, DELTA_METRICS, summary_to_dict
 
 PALETTE = [
@@ -44,61 +44,58 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def write_text(text: str, path: str | Path) -> Path:
+    """Write a UTF-8 output file, creating its directory; OSError becomes StorageError."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write {path.name}: {exc}") from exc
+    return path
+
+
+def write_json(value, path: str | Path) -> Path:
+    """Write value as indented JSON and a newline."""
+    return write_text(json.dumps(value, indent=2) + "\n", path)
+
+
 def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     """Write deltas.csv and similarity.csv (plus skips.csv when there are
     skips) with stable lexicographic row order."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        paths = []
+    rows = sorted(bundle.deltas, key=lambda r: (r.page_id, r.solution, r.metric))
+    lines = ["page_id,solution,metric,original,variant,delta"]
+    for r in rows:
+        lines.append(
+            f"{r.page_id},{r.solution},{r.metric},"
+            f"{_fmt(r.original_value)},{_fmt(r.variant_value)},{_fmt(r.delta)}"
+        )
+    paths = [write_text("\n".join(lines) + "\n", out / "deltas.csv")]
 
-        deltas_path = out / "deltas.csv"
-        rows = sorted(bundle.deltas, key=lambda r: (r.page_id, r.solution, r.metric))
-        lines = ["page_id,solution,metric,original,variant,delta"]
-        for r in rows:
-            lines.append(
-                f"{r.page_id},{r.solution},{r.metric},"
-                f"{_fmt(r.original_value)},{_fmt(r.variant_value)},{_fmt(r.delta)}"
-            )
-        deltas_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(deltas_path)
+    sim_rows = sorted(bundle.similarity_table, key=lambda r: (r[0], r[1]))
+    lines = ["page_id,solution,structural,functional"]
+    for page_id, solution, scores in sim_rows:
+        lines.append(
+            f"{page_id},{solution},{_fmt(scores.structural)},{_fmt(scores.functional or 0.0)}"
+        )
+    paths.append(write_text("\n".join(lines) + "\n", out / "similarity.csv"))
 
-        sim_path = out / "similarity.csv"
-        sim_rows = sorted(bundle.similarity_table, key=lambda r: (r[0], r[1]))
-        lines = ["page_id,solution,structural,functional"]
-        for page_id, solution, scores in sim_rows:
-            lines.append(
-                f"{page_id},{solution},{_fmt(scores.structural)},{_fmt(scores.functional or 0.0)}"
-            )
-        sim_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(sim_path)
-
-        if bundle.skip_report:
-            skips_path = out / "skips.csv"
-            lines = ["page_id,solution,reason"]
-            for page_id, solution, reason in sorted(bundle.skip_report):
-                lines.append(f"{page_id},{solution},{reason.replace(',', ';')}")
-            skips_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            paths.append(skips_path)
-        return paths
-    except OSError as exc:
-        raise StorageError(f"cannot write CSV report: {exc}") from exc
+    if bundle.skip_report:
+        lines = ["page_id,solution,reason"]
+        for page_id, solution, reason in sorted(bundle.skip_report):
+            lines.append(f"{page_id},{solution},{reason.replace(',', ';')}")
+        paths.append(write_text("\n".join(lines) + "\n", out / "skips.csv"))
+    return paths
 
 
 def emit_summaries(bundle: ReportBundle, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "summaries.json"
-        payload = {
-            "experiment_id": bundle.experiment_id,
-            "config": bundle.config_snapshot,
-            "summaries": [summary_to_dict(s) for s in bundle.summaries],
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return path
-    except OSError as exc:
-        raise StorageError(f"cannot write summaries.json: {exc}") from exc
+    payload = {
+        "experiment_id": bundle.experiment_id,
+        "config": bundle.config_snapshot,
+        "summaries": [summary_to_dict(s) for s in bundle.summaries],
+    }
+    return write_json(payload, Path(out_dir) / "summaries.json")
 
 
 # --- SVG helpers -------------------------------------------------------------
@@ -234,8 +231,6 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
     """Write one self-contained report.html: per-metric delta ECDF panels,
     per-metric mean bars with ci95 whiskers (per solution and group), and
     similarity score panels. No external assets; deterministic bytes."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     metric_names = [name for name, _ in DELTA_METRICS]
     by_metric: dict[str, list[DistributionSummary]] = {name: [] for name in metric_names}
     for summary in bundle.summaries:
@@ -311,12 +306,7 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         + f"<section><h2>configuration snapshot</h2><pre>{config_json}</pre></section>"
         "</body></html>"
     )
-    path = out / "report.html"
-    try:
-        path.write_text(html, encoding="utf-8")
-    except OSError as exc:
-        raise StorageError(f"cannot write report.html: {exc}") from exc
-    return path
+    return write_text(html, Path(out_dir) / "report.html")
 
 
 def write_bundle(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
@@ -327,12 +317,3 @@ def write_bundle(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
     paths["summaries.json"] = emit_summaries(bundle, out_dir)
     paths["report.html"] = emit_html(bundle, out_dir)
     return paths
-
-
-def similarity_table_to_json(similarity_table: list[tuple[str, str, SimilarityScores]]) -> list[dict]:
-    rows = []
-    for page_id, solution, scores in sorted(similarity_table, key=lambda r: (r[0], r[1])):
-        row = {"page_id": page_id, "solution": solution}
-        row.update(scores_to_dict(scores))
-        rows.append(row)
-    return rows

@@ -108,9 +108,7 @@ def functional_similarity(original_page: ArchivedPage, variant_page: ArchivedPag
     variant: the identity key must still exist and every handler name must
     still be defined at top level in some retained script. 1.0 when the
     original has no interactive elements."""
-    original_graph = pagemodel.parse_page(original_page)
-    variant_graph = pagemodel.parse_page(variant_page)
-    return functional_similarity_graphs(original_graph, variant_page, variant_graph)
+    return score_pages(original_page, variant_page).functional
 
 
 def functional_similarity_graphs(
@@ -134,24 +132,16 @@ def functional_similarity_graphs(
     return preserved / len(originals)
 
 
-def score_pages(
-    original_page: ArchivedPage,
-    variant_page: ArchivedPage,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
+def score_graphs(
+    original_graph: ResourceGraph, variant_page: ArchivedPage, variant_graph: ResourceGraph
 ) -> SimilarityScores:
-    """Structural and functional scores for a (original, variant) pair."""
-    original_graph = pagemodel.parse_page(original_page)
-    variant_graph = pagemodel.parse_page(variant_page)
-    scores = structural_similarity(original_graph, variant_graph, weights)
+    """Structural and functional scores of a variant, given its page and
+    both parsed graphs."""
+    scores = structural_similarity(original_graph, variant_graph)
     scores.functional = functional_similarity_graphs(original_graph, variant_page, variant_graph)
     return scores
 
 
-def scores_to_dict(scores: SimilarityScores) -> dict:
-    return {
-        "structural": scores.structural,
-        "functional": scores.functional,
-        "text_sim": scores.text_sim,
-        "image_sim": scores.image_sim,
-        "element_sim": scores.element_sim,
-    }
+def score_pages(original_page: ArchivedPage, variant_page: ArchivedPage) -> SimilarityScores:
+    """Structural and functional scores for a (original, variant) pair."""
+    return score_graphs(pagemodel.parse_page(original_page), variant_page, pagemodel.parse_page(variant_page))

@@ -12,7 +12,7 @@ import wasef
 from wasef.archive import load_page, store_page
 from wasef.cli import main
 from wasef.errors import ConfigError
-from wasef.experiment import config_from_dict, load_config, run_experiment
+from wasef.experiment import config_from_dict, load_config, read_results, read_similarity, run_experiment
 from wasef.fixtures import make_fixtures
 from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import parse_page
@@ -296,6 +296,163 @@ class TestCliSurface:
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps({"out_dir": "x"}))
         assert main(["run", "--config", str(config_path)]) == 2
+
+
+SINGLE_PATH_SOLUTIONS = ["identity", "js-strip", "js-dce"]
+
+
+@pytest.fixture(scope="module")
+def single_path_run(tmp_path_factory):
+    """A six-page archive and the files `wasef run` wrote for it."""
+    root = tmp_path_factory.mktemp("single_path")
+    make_fixtures(root / "archive", 6, seed=3)
+    config_path = root / "exp.json"
+    config_path.write_text(json.dumps({
+        "archive_dir": str(root / "archive"),
+        "out_dir": str(root / "run"),
+        "corpus": "fixtures",
+        "solutions": SINGLE_PATH_SOLUTIONS,
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    return root
+
+
+def evaluate(archive, out, solutions=SINGLE_PATH_SOLUTIONS):
+    return main(["evaluate", "--archive", str(archive), "--corpus", "fixtures",
+                 "--solutions", ",".join(solutions), "--out", str(out)])
+
+
+class TestSinglePath:
+    def test_evaluate_writes_the_results_run_writes(self, single_path_run, tmp_path):
+        assert evaluate(single_path_run / "archive", tmp_path / "results.json") == 0
+        run_results = (single_path_run / "run" / "results.json").read_bytes()
+        assert (tmp_path / "results.json").read_bytes() == run_results
+
+    def test_report_reproduces_the_csvs_run_writes(self, single_path_run, tmp_path):
+        run = single_path_run / "run"
+        assert main(["report", "--results", str(run / "results.json"),
+                     "--similarity", str(run / "similarity.json"), "--out", str(tmp_path)]) == 0
+        for name in ("deltas.csv", "similarity.csv"):
+            assert (tmp_path / name).read_bytes() == (run / "report" / name).read_bytes()
+        rows = json.loads((run / "results.json").read_text())
+        summaries = json.loads((tmp_path / "summaries.json").read_text())
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+        assert summaries["experiment_id"] == digest
+        assert summaries["config"] == {"results": "results.json", "baseline": "identity"}
+
+    def test_evaluate_without_identity_exits_0(self, single_path_run, tmp_path):
+        assert evaluate(single_path_run / "archive", tmp_path / "results.json", ["js-strip"]) == 0
+        rows = json.loads((tmp_path / "results.json").read_text())
+        assert {row["solution"] for row in rows} == {"js-strip"} and len(rows) == 6
+
+    def test_evaluate_skips_a_page_that_fails_to_load(self, tmp_path, caplog):
+        corpus = make_fixtures(tmp_path / "archive", 6, seed=3)
+        broken = corpus.pages[2]
+        (tmp_path / "archive" / broken / "bodies" / "0.bin").unlink()
+        assert evaluate(tmp_path / "archive", tmp_path / "results.json") == 3
+        rows = json.loads((tmp_path / "results.json").read_text())
+        assert {row["page_id"] for row in rows} == set(corpus.pages) - {broken}
+        assert len(rows) == 5 * len(SINGLE_PATH_SOLUTIONS)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert any(broken in message for message in warnings)
+
+
+METRICS_ROW = {
+    "page_id": "p", "solution": "identity", "fcp_seconds": 1.0, "plt_seconds": 2.0,
+    "speed_index_seconds": 1.5, "js_processing_seconds": 0.1, "page_size_bytes": 100,
+    "request_count": 2, "cpu_proxy_seconds": 0.2, "energy_proxy_units": 0.3,
+    "memory_proxy_bytes": 100, "paint_timeline": [[1.0, 0.5], [2.0, 1.0]],
+}
+SCORES_ROW = {"page_id": "p", "solution": "identity", "structural": 1.0, "functional": 1.0}
+
+
+def _without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+# (field, what the bad file holds); None means the file does not exist and
+# "dir" that the path is a directory.
+BAD_REPORT_INPUTS = {
+    "results-missing": ("results", None),
+    "results-directory": ("results", "dir"),
+    "results-invalid-json": ("results", "[{"),
+    "results-not-a-list": ("results", {"page_id": "p"}),
+    "results-row-not-an-object": ("results", [["p", "identity"]]),
+    "results-missing-page-id": ("results", [_without(METRICS_ROW, "page_id")]),
+    "results-missing-metric": ("results", [_without(METRICS_ROW, "plt_seconds")]),
+    "results-mistyped-metric": ("results", [{**METRICS_ROW, "fcp_seconds": "1.0"}]),
+    "results-boolean-metric": ("results", [{**METRICS_ROW, "request_count": True}]),
+    "results-mistyped-solution": ("results", [{**METRICS_ROW, "solution": 3}]),
+    "results-mistyped-timeline": ("results", [{**METRICS_ROW, "paint_timeline": [1.0, 2.0]}]),
+    "similarity-missing": ("similarity", None),
+    "similarity-invalid-json": ("similarity", "nope"),
+    "similarity-not-a-list": ("similarity", "null"),
+    "similarity-row-not-an-object": ("similarity", ["p"]),
+    "similarity-missing-structural": ("similarity", [_without(SCORES_ROW, "structural")]),
+    "similarity-mistyped-functional": ("similarity", [{**SCORES_ROW, "functional": "high"}]),
+}
+
+
+class TestReportInputErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_REPORT_INPUTS))
+    def test_bad_input_is_a_config_error(self, case, tmp_path, capsys):
+        field, content = BAD_REPORT_INPUTS[case]
+        paths = {"results": tmp_path / "results.json", "similarity": tmp_path / "similarity.json"}
+        paths["results"].write_text(json.dumps([METRICS_ROW]))
+        paths["similarity"].write_text(json.dumps([SCORES_ROW]))
+        bad = paths[field]
+        bad.unlink()
+        if content == "dir":
+            bad.mkdir()
+        elif isinstance(content, str):
+            bad.write_text(content)
+        elif content is not None:
+            bad.write_text(json.dumps(content))
+        reader = {"results": read_results, "similarity": read_similarity}[field]
+        with pytest.raises(ConfigError) as info:
+            reader(bad)
+        assert info.value.field == field
+        code = main(["report", "--results", str(paths["results"]), "--similarity",
+                     str(paths["similarity"]), "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+    def test_good_rows_read_back(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([METRICS_ROW]))
+        [(page_id, solution, metrics)] = read_results(path)
+        assert (page_id, solution, metrics.request_count) == ("p", "identity", 2)
+        assert metrics.paint_timeline == [(1.0, 0.5), (2.0, 1.0)]
+        path = tmp_path / "similarity.json"
+        path.write_text(json.dumps([SCORES_ROW]))
+        [(_, _, scores)] = read_similarity(path)
+        assert (scores.structural, scores.functional, scores.text_sim) == (1.0, 1.0, 0.0)
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_har_is_a_config_error(self, kind, tmp_path, capsys):
+        har = tmp_path / "capture.har"
+        if kind == "directory":
+            har.mkdir()
+        code = main(["import-har", "--har", str(har), "--archive", str(tmp_path / "archive")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: har: ") and "Traceback" not in err
+
+    def test_unwritable_results_path_is_a_storage_error(self, single_path_run, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert evaluate(single_path_run / "archive", tmp_path / "file" / "results.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write results.json") and "Traceback" not in err
+
+    def test_fixture_count_below_one(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as info:
+            make_fixtures(tmp_path / "a", 0, seed=1)
+        assert info.value.field == "count"
+        assert main(["fixtures", "--out", str(tmp_path / "b"), "--count", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: count: ")
 
 
 class TestLoadConfigFile:
