@@ -111,9 +111,11 @@ def content_type_of(headers: list[tuple[str, str]]) -> str:
 def normalize_url(raw: str, base: str | None = None) -> str:
     """Canonicalize a URL: lowercase scheme/host, drop default ports and
     fragments, keep query and path percent-encoding byte-exact.
+    Idempotent: a normalized URL normalizes to itself.
 
     Relative references are resolved against ``base`` when given.
-    Raises MalformedUrl when the result has no scheme or host.
+    Raises MalformedUrl when the result has no scheme or host, or the host
+    contains whitespace.
     """
     if not isinstance(raw, str) or not raw.strip():
         raise MalformedUrl(raw)
@@ -130,7 +132,7 @@ def normalize_url(raw: str, base: str | None = None) -> str:
     except ValueError:
         raise MalformedUrl(raw) from None
     scheme = parts.scheme.lower()
-    if not scheme or not hostname:
+    if not scheme or not hostname or any(ch.isspace() for ch in hostname):
         raise MalformedUrl(raw)
     host = hostname.lower()
     if ":" in host:  # bare IPv6 address needs its brackets back
@@ -140,7 +142,11 @@ def normalize_url(raw: str, base: str | None = None) -> str:
         userinfo = parts.netloc.rsplit("@", 1)[0] + "@"
     if port is not None and port != _DEFAULT_PORTS.get(scheme):
         host = f"{host}:{port}"
-    return urlunsplit((scheme, userinfo + host, parts.path, parts.query, ""))
+    # Whitespace before a dropped fragment or empty query would end the
+    # result; trim it as the raw URL's own trailing whitespace is trimmed.
+    query = parts.query.rstrip()
+    path = parts.path if query else parts.path.rstrip()
+    return urlunsplit((scheme, userinfo + host, path, query, ""))
 
 
 def page_id_for_url(url: str) -> str:
@@ -269,7 +275,9 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     """Write a page to ``<root_dir>/<page_id>/`` and return the page id.
 
     The layout is one manifest.json plus bodies/<n>.bin per exchange, in
-    exchange order. Re-storing the same page produces identical bytes.
+    exchange order. Re-storing the same page produces identical bytes. The
+    manifest is written without indentation, since CPython's C JSON encoder
+    runs only when ``indent`` is None.
     """
     page_dir = Path(root_dir) / page.page_id
     try:
@@ -301,7 +309,7 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
             "exchanges": manifest_exchanges,
         }
         (page_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            json.dumps(manifest, ensure_ascii=False) + "\n", encoding="utf-8"
         )
     except OSError as exc:
         raise StorageError(f"cannot store page {page.page_id}: {exc}") from exc

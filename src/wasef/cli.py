@@ -86,12 +86,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    try:
+        shaping = ShapingConfig(
+            downlink_bytes_per_sec=args.bandwidth or 0.0,
+            rtt_seconds=args.rtt_ms / 1000.0,
+            enabled=args.bandwidth is not None,
+        )
+    except ValueError as exc:
+        raise ConfigError("shaping", str(exc)) from None
     page = load_page(args.page, _archive_dir(args))
-    shaping = ShapingConfig(
-        downlink_bytes_per_sec=args.bandwidth or 0.0,
-        rtt_seconds=(args.rtt_ms or 0.0) / 1000.0,
-        enabled=bool(args.bandwidth),
-    )
     server = serve(page, args.bind, shaping)
     print(f"serving {page.page_id} on http://{server.host}:{server.port} "
           f"(shaping={'on' if shaping.enabled else 'off'})", flush=True)
@@ -115,8 +118,7 @@ def cmd_evaluate(args) -> int:
     corpus = _corpus(args, archive)
     experiment.check_corpus(corpus, archive)
     solutions = [TransformSpec(name=s.strip()) for s in args.solutions.split(",") if s.strip()]
-    if not solutions:
-        raise ConfigError("solutions", "must name at least one transform")
+    experiment.check_solutions(solutions)
     config = experiment.ExperimentConfig(
         archive_dir=archive,
         out_dir=str(Path(args.out).parent),

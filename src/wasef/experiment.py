@@ -150,7 +150,20 @@ def _resolve_solutions(raw, field: str = "solutions") -> list[TransformSpec]:
             raise ConfigError(f"{field}[{index}]", "must be a name or an object with a name")
     if not any(spec.name == "identity" for spec in specs):
         specs.insert(0, TransformSpec(name="identity"))  # implied baseline
+    check_solutions(specs, field)
     return specs
+
+
+def check_solutions(specs: list[TransformSpec], field: str = "solutions") -> None:
+    """Raise ConfigError unless at least one solution is named and no name
+    repeats: variants, results rows and deltas are keyed by solution name."""
+    if not specs:
+        raise ConfigError(field, "must name at least one transform")
+    seen: set[str] = set()
+    for spec in specs:
+        if spec.name in seen:
+            raise ConfigError(field, f"solution {spec.name!r} is named more than once")
+        seen.add(spec.name)
 
 
 def check_corpus(corpus: Corpus, archive_dir: str | Path) -> None:

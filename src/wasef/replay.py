@@ -5,12 +5,23 @@ Lookup ignores the URL scheme: archived https resources answer plain-http
 requests matched on (host, path, query), and a request whose Host header
 matches no archived host falls back to path+query lookup against the whole
 page. Every 404 is recorded in an arrival-ordered miss log.
+
+Sockets run with TCP_NODELAY. A response's header block and body go out
+as separate writes, and with Nagle's algorithm on, the second small write
+on a keep-alive connection waits for the client's delayed ACK, about 40 ms
+per response. Shaped bodies go out in chunks booked on one shared link
+clock: a response's first chunk books from now or from the end of the
+link's last booking, whichever is later, so idle time banks nothing; each
+later chunk books from the end of the link's last booking, never from now,
+so sleep overshoot and write time are made up and a body of N bytes takes
+N/rate seconds, not more.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -45,16 +56,24 @@ class ShapingConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.enabled and self.downlink_bytes_per_sec <= 0:
-            raise ValueError("downlink_bytes_per_sec must be positive when shaping is enabled")
+        if self.enabled and not 0 < self.downlink_bytes_per_sec < math.inf:
+            raise ValueError(
+                f"downlink_bytes_per_sec must be positive and finite when shaping is "
+                f"enabled, got {self.downlink_bytes_per_sec}"
+            )
+        if not 0 <= self.rtt_seconds < math.inf:
+            raise ValueError(f"rtt_seconds must be non-negative and finite, got {self.rtt_seconds}")
 
 
 class _TokenBucket:
     """Shared downlink throttle on a virtual clock. Each consume() books the
-    link for amount/rate seconds, from now or from the end of the previous
-    booking if that is later, and sleeps until its booking ends. Idle time
-    banks nothing, so an N-byte response takes at least N/rate seconds of
-    wall clock. ``capacity`` is the chunk size senders consume at a time."""
+    link for amount/rate seconds and sleeps until its booking ends. A first
+    chunk books from now or from the end of the link's last booking if that
+    is later, so idle time banks nothing and an N-byte response takes at
+    least N/rate seconds of wall clock. A continuing chunk of the same
+    response books from the end of the link's last booking, so the time the
+    sender lost to sleep overshoot and writing is made up. ``capacity`` is
+    the chunk size senders consume at a time."""
 
     def __init__(self, rate: float):
         self.rate = rate
@@ -62,9 +81,10 @@ class _TokenBucket:
         self.next_free = 0.0  # monotonic time the link is booked until
         self.lock = threading.Lock()
 
-    def consume(self, amount: float) -> None:
+    def consume(self, amount: float, continuing: bool = False) -> None:
         with self.lock:
-            self.next_free = max(time.monotonic(), self.next_free) + amount / self.rate
+            start = self.next_free if continuing else max(time.monotonic(), self.next_free)
+            self.next_free = start + amount / self.rate
             until = self.next_free
         wait = until - time.monotonic()
         if wait > 0:
@@ -79,6 +99,7 @@ def _path_query(url: str) -> str:
 
 class _ReplayHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # sets TCP_NODELAY on each connection
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -139,7 +160,7 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         chunk = max(1, int(bucket.capacity))
         for start in range(0, len(body), chunk):
             piece = body[start : start + chunk]
-            bucket.consume(len(piece))
+            bucket.consume(len(piece), continuing=start > 0)
             self.wfile.write(piece)
         self.wfile.flush()
 
@@ -148,6 +169,8 @@ class ReplayServer:
     """A running replay server; use serve() to construct one."""
 
     def __init__(self, page: ArchivedPage, host: str, port: int, shaping: ShapingConfig):
+        if not 0 <= port <= 65535:
+            raise BindError(f"cannot bind {host}:{port}: port must be in 0-65535")
         index_by_host: dict[tuple[str, str, str], object] = {}
         index_by_path: dict[tuple[str, str], object] = {}
         for (method, url), exchange in page.exchanges.items():

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wasef.archive import (
     ArchivedExchange,
@@ -70,6 +71,37 @@ class TestNormalizeUrl:
             )
             once = normalize_url(url)
             assert normalize_url(once) == once
+
+    @pytest.mark.parametrize("url", ["http://0 :", "http:// :", "http://a b.test/", "http://a\u3000b/"])
+    def test_whitespace_in_host_is_malformed(self, url):
+        with pytest.raises(MalformedUrl):
+            normalize_url(url)
+
+    def test_whitespace_before_dropped_fragment_is_trimmed(self):
+        assert normalize_url("http://a.test/p #frag") == "http://a.test/p"
+        assert normalize_url("http://a.test/p?q  #frag") == "http://a.test/p?q"
+        assert normalize_url("http://a.test/p ? #frag") == "http://a.test/p"
+
+
+# Characters that move urlsplit's component boundaries, plus whitespace of
+# every kind the raw input's strip() removes.
+_URL_PIECES = list("aB0:/?#@[]%.;+-é \t\n\x0b\x1f\u3000") + ["80", "443", "::1", "%20", "%2F"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["", "http://", "HTTPS://", "ftp://", "//", " http://", "http://u:p@"]),
+    st.lists(st.sampled_from(_URL_PIECES), max_size=20).map("".join),
+)
+@example("http://", "0 :")
+@example("http://", " :")
+@example("http://", "0/ ?")
+def test_normalize_url_is_idempotent(prefix, rest):
+    try:
+        once = normalize_url(prefix + rest)
+    except MalformedUrl:
+        return
+    assert normalize_url(once) == once
 
 
 class TestImportHar:

@@ -4,6 +4,7 @@ import os
 import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,22 @@ class TestConfig:
         raw["solutions"] = ["js-strip"]
         config = config_from_dict(raw)
         assert [s.name for s in config.solutions] == ["identity", "js-strip"]
+
+    @pytest.mark.parametrize(
+        "solutions",
+        [
+            [{"name": "img-downscale", "params": {"quality": "0.2"}},
+             {"name": "img-downscale", "params": {"quality": "0.9"}}],
+            ["identity", "js-strip", "identity"],
+        ],
+    )
+    def test_duplicate_solution_names(self, tmp_path, solutions):
+        corpus = make_fixtures(tmp_path, 1, seed=1)
+        raw = self._raw(tmp_path, tmp_path / "out", corpus.pages)
+        raw["solutions"] = solutions
+        with pytest.raises(ConfigError, match="named more than once") as info:
+            config_from_dict(raw)
+        assert info.value.field == "solutions"
 
     def test_unknown_network_profile(self, tmp_path):
         corpus = make_fixtures(tmp_path, 1, seed=1)
@@ -345,6 +362,11 @@ class TestSinglePath:
         rows = json.loads((tmp_path / "results.json").read_text())
         assert {row["solution"] for row in rows} == {"js-strip"} and len(rows) == 6
 
+    def test_evaluate_with_a_solution_named_twice_is_a_config_error(self, single_path_run, tmp_path, capsys):
+        assert evaluate(single_path_run / "archive", tmp_path / "results.json", ["js-strip", "js-strip"]) == 2
+        assert "solutions: solution 'js-strip' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
     def test_evaluate_skips_a_page_that_fails_to_load(self, tmp_path, caplog):
         corpus = make_fixtures(tmp_path / "archive", 6, seed=3)
         broken = corpus.pages[2]
@@ -505,3 +527,25 @@ class TestServeCommand:
             proc.kill()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--bind", "127.0.0.1:99999"],
+            ["--bind", "127.0.0.1:-1"],
+            ["--bandwidth", "-5"],
+            ["--bandwidth", "nan"],
+            ["--bandwidth", "1000", "--rtt-ms", "-50"],
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, bad):
+        corpus = make_fixtures(tmp_path, 1, seed=2)
+
+        def interrupt(seconds):  # a server that did start stops at once
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        code = main(["serve", "--archive", str(tmp_path), "--page", corpus.pages[0], *bad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -2,6 +2,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import socket
 import threading
 import time
@@ -98,6 +99,23 @@ class TestLookup:
             assert dict(headers).get("X-Custom") == "kept"
 
 
+class TestKeepAlive:
+    def test_small_responses_do_not_stall(self, plain_page):
+        # With Nagle's algorithm on and headers and body in separate writes,
+        # each small response on a kept-alive connection waited about 40 ms
+        # for the client's delayed ACK: 0.84 s for these 20 requests.
+        with serve(plain_page) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/a.css", headers={"Host": "site.test"})
+                response = conn.getresponse()
+                assert response.status == 200 and response.read() == b"body { margin: 0 }"
+            elapsed = time.perf_counter() - started
+            conn.close()
+        assert elapsed < 0.3
+
+
 class TestMissLog:
     def test_empty_without_requests(self, plain_page):
         with serve(plain_page) as server:
@@ -131,6 +149,39 @@ class TestShaping:
             assert status == 200 and received == body
             assert elapsed >= 0.5  # 100000 / 200000
 
+    def test_continuing_chunks_book_back_to_back(self, monkeypatch):
+        # Every sleep overshoots by 2 ms, as on a loaded host. Chunks after a
+        # response's first book from the end of the previous booking, so 100
+        # chunks of 10 ms book exactly 1 s of link time, whatever the sleeps.
+        real_sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda seconds: real_sleep(seconds + 0.002))
+        bucket = _TokenBucket(1_000_000.0)
+        bucket.consume(bucket.capacity)
+        first_start = bucket.next_free - bucket.capacity / bucket.rate
+        for _ in range(99):
+            bucket.consume(bucket.capacity, continuing=True)
+        assert bucket.next_free - first_start == pytest.approx(1.0, abs=1e-9)
+
+    def test_rate_holds_despite_sleep_overshoot(self, monkeypatch):
+        # 1 MB at 1 MB/s goes out in 100 chunks of 10 ms, and every sleep
+        # overshoots by 2 ms. Booking each chunk from now would add every
+        # overshoot: 1.2 s or more. Booking it from the end of the previous
+        # chunk leaves one overshoot plus the request and the client's read.
+        # The 0.1 s margin is half the injected total. On a 2-vCPU host this
+        # took at most 1.003 s idle, 1.007 s beside two busy-looping
+        # processes and 1.016 s beside four; booking from now took 1.24 s.
+        body = bytes(1_000_000)
+        page = page_from_parts("<html><body>big</body></html>", assets=[("/big.bin", "application/octet-stream", body)])
+        shaping = ShapingConfig(downlink_bytes_per_sec=1_000_000.0, enabled=True)
+        real_sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda seconds: real_sleep(seconds + 0.002))
+        with serve(page, shaping=shaping) as server:
+            start = time.perf_counter()
+            status, _, received = _get(server, "/big.bin", host_header="site.test")
+            elapsed = time.perf_counter() - start
+        assert status == 200 and received == body
+        assert 1.0 <= elapsed <= 1.1, f"{elapsed:.3f}s"
+
     def test_idle_bucket_banks_nothing(self):
         bucket = _TokenBucket(100000.0)
         time.sleep(0.1)
@@ -141,6 +192,21 @@ class TestShaping:
     def test_invalid_shaping_rejected(self):
         with pytest.raises(ValueError):
             ShapingConfig(downlink_bytes_per_sec=0.0, enabled=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"downlink_bytes_per_sec": -5.0, "enabled": True},
+            {"downlink_bytes_per_sec": math.nan, "enabled": True},
+            {"downlink_bytes_per_sec": math.inf, "enabled": True},
+            {"downlink_bytes_per_sec": 1000.0, "rtt_seconds": -0.05, "enabled": True},
+            {"rtt_seconds": math.nan},
+            {"rtt_seconds": math.inf},
+        ],
+    )
+    def test_bad_rate_or_rtt_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ShapingConfig(**kwargs)
 
 
 class TestRobustness:
@@ -185,6 +251,11 @@ class TestRobustness:
         with serve(plain_page) as server:
             with pytest.raises(BindError):
                 ReplayServer(plain_page, server.host, server.port, ShapingConfig())
+
+    @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536"])
+    def test_port_out_of_range_is_a_bind_error(self, plain_page, bind):
+        with pytest.raises(BindError, match="0-65535"):
+            serve(plain_page, bind)
 
     def test_head_request(self, plain_page):
         with serve(plain_page) as server:
