@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import pagemodel, report, similarity, stats
-from .archive import ArchivedPage, Corpus, load_corpus, load_page, store_page
+from .archive import ArchivedPage, Corpus, load_corpus, load_page, page_id_problem, store_page
 from .errors import ConfigError, WasefError
 from .loadsim import (
     DEVICE_PROFILES,
@@ -167,12 +167,16 @@ def check_solutions(specs: list[TransformSpec], field: str = "solutions") -> Non
 
 
 def check_corpus(corpus: Corpus, archive_dir: str | Path) -> None:
-    """Raise ConfigError unless the corpus is non-empty, unique and archived."""
+    """Raise ConfigError unless the corpus is non-empty, unique and archived,
+    and each page id is one path component."""
     if not corpus.pages:
         raise ConfigError("corpus.pages", "corpus is empty")
     if len(set(corpus.pages)) != len(corpus.pages):
         raise ConfigError("corpus.pages", "page ids must be unique")
     for page_id in corpus.pages:
+        problem = page_id_problem(page_id)
+        if problem:
+            raise ConfigError("corpus.pages", problem)
         if not (Path(archive_dir) / page_id / "manifest.json").is_file():
             raise ConfigError("corpus.pages", f"page {page_id!r} not found in archive")
 

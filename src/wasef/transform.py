@@ -73,13 +73,15 @@ def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls:
             body = new_root_body
         elif url in replaced_bodies:
             body = replaced_bodies[url]
+        unchanged = body == ex.body  # then keep the original object, whose digest is known
         exchanges[(method, url)] = ArchivedExchange(
             method=ex.method,
             url=ex.url,
             status=ex.status,
             headers=list(ex.headers),
-            body=body,
+            body=ex.body if unchanged else body,
             content_type=ex.content_type,
+            digest_cache=ex.digest_cache if unchanged else None,
         )
     return ArchivedPage(
         page_id=page.page_id,
@@ -238,7 +240,15 @@ def register_subprocess_transform(
     Contract: the command reads the stored page directory path from stdin,
     writes the variant page directory path to stdout, and exits 0 on
     success. Transform params are exported as WASEF_PARAM_<key> environment
-    variables.
+    variables. Pages are stored in the archive layout (see ``archive``): the
+    page directory holds only manifest.json, and its bodies are blobs under
+    the directory's parent, the archive root. The variant directory must sit
+    in an archive root too. For each body it changes, the command writes the
+    new bytes as ``<root>/blobs/<sha256>`` (the hex SHA-256 of those bytes)
+    and sets the manifest entry's ``body_file`` to ``../blobs/<sha256>``,
+    ``body_sha256`` to the digest and ``body_len`` to the length; unchanged
+    entries can point at the blobs already there. Copying the page
+    directory to a sibling directory is thus a valid identity transform.
     """
     from .archive import load_page, store_page  # local import avoids a cycle
 

@@ -1,10 +1,14 @@
 import base64
+import errno
+import hashlib
 import json
+import os
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wasef import archive
 from wasef.archive import (
     ArchivedExchange,
     ArchivedPage,
@@ -23,7 +27,10 @@ from wasef.errors import (
     CorruptArchive,
     MalformedUrl,
     NoRootDocument,
+    StorageError,
 )
+from wasef.experiment import config_from_dict, run_experiment
+from wasef.transform import TransformSpec, apply_transform
 
 from conftest import page_from_parts
 
@@ -253,6 +260,15 @@ class TestImportHar:
         assert exc_info.value.entry_index == 1
 
 
+def blob_path(root, body: bytes):
+    """Where the blob store keeps ``body`` under archive root ``root``."""
+    return root / "blobs" / hashlib.sha256(body).hexdigest()
+
+
+def blob_names(root) -> set[str]:
+    return {path.name for path in (root / "blobs").iterdir()}
+
+
 class TestStoreLoad:
     def test_round_trip_identity(self, tmp_path):
         page = page_from_parts(
@@ -273,8 +289,11 @@ class TestStoreLoad:
         pid = store_page(page, tmp_path)
         page_dir = tmp_path / pid
         assert (page_dir / "manifest.json").is_file()
-        bodies = list((page_dir / "bodies").iterdir())
-        assert len(bodies) == 1
+        assert [path.name for path in page_dir.iterdir()] == ["manifest.json"]
+        blobs = list((tmp_path / "blobs").iterdir())
+        assert len(blobs) == 1
+        assert blobs[0] == blob_path(tmp_path, b"<html><body>solo</body></html>")
+        assert blobs[0].read_bytes() == b"<html><body>solo</body></html>"
 
     def test_manifest_field_names(self, tmp_path):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
@@ -296,14 +315,14 @@ class TestStoreLoad:
     def test_missing_body_file(self, tmp_path):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
         pid = store_page(page, tmp_path)
-        (tmp_path / pid / "bodies" / "1.bin").unlink()
+        blob_path(tmp_path, b"body{}").unlink()
         with pytest.raises(CorruptArchive):
             load_page(pid, tmp_path)
 
     def test_tampered_byte_fails_checksum(self, tmp_path):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{color:red}")])
         pid = store_page(page, tmp_path)
-        body_path = tmp_path / pid / "bodies" / "1.bin"
+        body_path = blob_path(tmp_path, b"body{color:red}")
         raw = bytearray(body_path.read_bytes())
         raw[3] ^= 0xFF  # flip one byte; digest recorded at store time must catch it
         body_path.write_bytes(bytes(raw))
@@ -314,14 +333,17 @@ class TestStoreLoad:
         with pytest.raises(CorruptArchive):
             load_page("nope", tmp_path)
 
-    def _rewrite_entry(self, tmp_path, change):
+    def _rewrite_manifest(self, tmp_path, change):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
         pid = store_page(page, tmp_path)
         manifest_path = tmp_path / pid / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        change(manifest["exchanges"][1])
+        change(manifest)
         manifest_path.write_text(json.dumps(manifest))
         return pid
+
+    def _rewrite_entry(self, tmp_path, change):
+        return self._rewrite_manifest(tmp_path, lambda manifest: change(manifest["exchanges"][1]))
 
     @pytest.mark.parametrize(
         "key",
@@ -343,15 +365,34 @@ class TestStoreLoad:
     def test_symlink_out_of_page_is_corrupt(self, tmp_path, link):
         (tmp_path / "x.bin").write_bytes(b"body{}")
         pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=link))
+        (tmp_path / pid / "bodies").mkdir()  # stores no longer make it; the links go there
         (tmp_path / pid / "bodies" / "out.bin").symlink_to(tmp_path / "x.bin")
         (tmp_path / pid / "outdir").symlink_to(tmp_path)
         with pytest.raises(CorruptArchive, match="outside"):
             load_page(pid, tmp_path)
 
-    def test_symlink_within_page_loads(self, tmp_path):
-        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file="bodies/in.bin"))
-        (tmp_path / pid / "bodies" / "in.bin").symlink_to("1.bin")
-        assert load_page(pid, tmp_path).lookup("http://site.test/a.css").body == b"body{}"
+    def test_symlinked_blob_is_corrupt(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        pid = store_page(page, tmp_path)
+        (tmp_path / "x.bin").write_bytes(b"body{}")  # the right bytes, outside the blob store
+        blob_path(tmp_path, b"body{}").unlink()
+        blob_path(tmp_path, b"body{}").symlink_to(tmp_path / "x.bin")
+        with pytest.raises(CorruptArchive, match="regular file"):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize(
+        "body_file",
+        ["bodies/in.bin", "../blobs/../blobs/{digest}", "./../blobs/{digest}", "../blobs//{digest}",
+         "../blobs/{upper}", "../blobs/{digest}/", "../blobs/" + "0" * 64, "blobs/{digest}"],
+    )
+    def test_body_file_other_than_its_blob_is_corrupt(self, tmp_path, body_file):
+        digest = hashlib.sha256(b"body{}").hexdigest()
+        body_file = body_file.format(digest=digest, upper=digest.upper())
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=body_file))
+        (tmp_path / pid / "bodies").mkdir()
+        (tmp_path / pid / "bodies" / "in.bin").symlink_to(blob_path(tmp_path, b"body{}"))
+        with pytest.raises(CorruptArchive, match="outside the blob store"):
+            load_page(pid, tmp_path)
 
     @pytest.mark.parametrize("key", ["body_file", "method", "url", "content_type"])
     def test_non_string_field_is_corrupt(self, tmp_path, key):
@@ -362,13 +403,37 @@ class TestStoreLoad:
     @pytest.mark.parametrize("body_file", ["bodies/a\x00b.bin", "bodies/loop"])
     def test_unresolvable_body_file_is_corrupt(self, tmp_path, body_file):
         pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file=body_file))
+        (tmp_path / pid / "bodies").mkdir()
         (tmp_path / pid / "bodies" / "loop").symlink_to("loop")
         with pytest.raises(CorruptArchive):
             load_page(pid, tmp_path)
 
-    def test_body_file_inside_page_by_a_detour_loads(self, tmp_path):
-        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(body_file="bodies/../bodies/1.bin"))
-        assert load_page(pid, tmp_path).lookup("http://site.test/a.css").body == b"body{}"
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("status", "abc"), ("status", True), ("status", 200.0), ("status", None),
+            ("body_len", "6"), ("body_len", -1), ("body_len", True), ("body_len", 6.0),
+            ("body_sha256", "abc"), ("body_sha256", 7),
+            ("body_sha256", hashlib.sha256(b"body{}").hexdigest().upper()),
+            ("body_sha256", hashlib.sha256(b"body{}").hexdigest() + "\n"),
+            ("headers", "x"), ("headers", [["Content-Type", 1]]), ("headers", [[1, "text/css"]]),
+            ("headers", [("a", "b", "c")]),
+        ],
+    )
+    def test_mistyped_field_is_corrupt(self, tmp_path, key, value):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry.update({key: value}))
+        with pytest.raises(CorruptArchive, match=key):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("page_id", 5), ("page_id", "../x"), ("root_url", None), ("recorded_at", 1), ("source", []),
+         ("exchanges", {})],
+    )
+    def test_mistyped_page_field_is_corrupt(self, tmp_path, key, value):
+        pid = self._rewrite_manifest(tmp_path, lambda manifest: manifest.update({key: value}))
+        with pytest.raises(CorruptArchive, match=key):
+            load_page(pid, tmp_path)
 
     def test_malformed_headers_are_corrupt(self, tmp_path):
         pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(headers=[["only-a-name"]]))
@@ -379,8 +444,147 @@ class TestStoreLoad:
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
         pid = store_page(page, tmp_path)
         first = (tmp_path / pid / "manifest.json").read_bytes()
+        blobs = {path.name: (path.read_bytes(), path.stat().st_ino) for path in (tmp_path / "blobs").iterdir()}
         store_page(page, tmp_path)
         assert (tmp_path / pid / "manifest.json").read_bytes() == first
+        # the same files, not rewritten: a blob is written only when absent
+        assert {path.name: (path.read_bytes(), path.stat().st_ino) for path in (tmp_path / "blobs").iterdir()} == blobs
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["blobs", pid])
+
+    def test_manifest_names_each_body_by_digest(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        pid = store_page(page, tmp_path)
+        manifest = json.loads((tmp_path / pid / "manifest.json").read_text())
+        for entry, ex in zip(manifest["exchanges"], page.exchanges.values()):
+            digest = hashlib.sha256(ex.body).hexdigest()
+            assert entry["body_sha256"] == digest
+            assert entry["body_file"] == f"../blobs/{digest}"
+            assert (tmp_path / pid / entry["body_file"]).read_bytes() == ex.body
+            assert entry["body_len"] == len(ex.body)
+
+    def test_pages_sharing_a_body_share_one_blob(self, tmp_path):
+        shared = b"body{margin:0}"
+        first = page_from_parts("<p>one</p>", assets=[("/s.css", "text/css", shared)], host="one.test")
+        second = page_from_parts("<p>two</p>", assets=[("/s.css", "text/css", shared)], host="two.test")
+        store_page(first, tmp_path)
+        store_page(second, tmp_path)
+        assert blob_names(tmp_path) == {
+            hashlib.sha256(body).hexdigest() for body in (b"<p>one</p>", b"<p>two</p>", shared)
+        }
+        assert load_page(first.page_id, tmp_path) == first
+        assert load_page(second.page_id, tmp_path) == second
+
+    def test_loaded_exchange_carries_its_verified_digest(self, tmp_path, monkeypatch):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        pid = store_page(page, tmp_path)
+        loaded = load_page(pid, tmp_path)
+        ex = loaded.lookup("http://site.test/a.css")
+        assert ex.sha256() == hashlib.sha256(b"body{}").hexdigest()
+        hashed, real_sha256 = [], hashlib.sha256
+        monkeypatch.setattr(archive.hashlib, "sha256", lambda data: hashed.append(data) or real_sha256(data))
+        store_page(loaded, tmp_path / "again")
+        assert hashed == []  # every digest came from the load
+        ex.body = b"body{color:red}"  # a reassigned body is hashed afresh
+        assert ex.sha256() == real_sha256(b"body{color:red}").hexdigest()
+        assert hashed == [b"body{color:red}"]
+
+    @pytest.mark.parametrize("solution", ["identity", "js-strip", "js-dce", "img-downscale"])
+    def test_transforms_carry_unchanged_digests(self, tmp_path, monkeypatch, solution):
+        page = page_from_parts(
+            "<html><body><script src='/a.js'></script><img src='/i.png'>x</body></html>",
+            assets=[("/a.js", "text/javascript", b"function used(){} used();"),
+                    ("/i.png", "image/png", b"\x89PNG" + bytes(200)),
+                    ("/s.css", "text/css", b"body{}")],
+        )
+        loaded = load_page(store_page(page, tmp_path / "archive"), tmp_path / "archive")
+        variant = apply_transform(TransformSpec(name=solution), loaded).page
+        changed = [ex.body for key, ex in variant.exchanges.items() if ex.body != loaded.exchanges[key].body]
+        hashed, real_sha256 = [], hashlib.sha256
+        monkeypatch.setattr(archive.hashlib, "sha256", lambda data: hashed.append(data) or real_sha256(data))
+        store_page(variant, tmp_path / "variants")
+        assert hashed == changed  # only the bodies the transform changed are hashed
+        assert len(changed) == {"identity": 0, "js-strip": 1, "js-dce": 0, "img-downscale": 1}[solution]
+
+    def test_digest_cache_is_not_part_of_equality_or_repr(self, tmp_path):
+        loaded = load_page(store_page(page_from_parts("<html><body>x</body></html>"), tmp_path), tmp_path)
+        fresh = page_from_parts("<html><body>x</body></html>")
+        assert loaded.root_exchange().digest_cache is not None
+        assert fresh.root_exchange().digest_cache is None
+        assert loaded == fresh
+        assert repr(loaded) == repr(fresh)
+
+    @pytest.mark.parametrize("failing", ["replace", "write", "killed"])
+    def test_failed_restore_keeps_the_earlier_version(self, tmp_path, monkeypatch, failing):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        pid = store_page(page, tmp_path)
+        changed = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"p{}" * 5000)])
+        real_write, real_replace = os.write, os.replace
+        interruption = KeyboardInterrupt if failing == "killed" else OSError(errno.ENOSPC, "No space left on device")
+
+        def half_write(fd, data):  # writes part of the blob, then fails or the writer is stopped
+            real_write(fd, bytes(data[: len(data) // 2]))
+            raise interruption
+
+        def no_replace(src, dst):
+            raise OSError(errno.EIO, "I/O error")
+
+        if failing == "replace":
+            monkeypatch.setattr(archive.os, "replace", no_replace)
+        else:
+            monkeypatch.setattr(archive.os, "write", half_write)
+        with pytest.raises(KeyboardInterrupt) if failing == "killed" else pytest.raises(StorageError, match=pid):
+            store_page(changed, tmp_path)
+        monkeypatch.setattr(archive.os, "write", real_write)
+        monkeypatch.setattr(archive.os, "replace", real_replace)
+
+        assert load_page(pid, tmp_path) == page
+        blobs = {path.name: path.read_bytes() for path in (tmp_path / "blobs").iterdir()}
+        finals = {name: data for name, data in blobs.items() if len(name) == 64}
+        assert all(hashlib.sha256(data).hexdigest() == name for name, data in finals.items())  # none partial
+        # a failed write removes its temporary file; a stopped writer leaves it, under a name no load reads
+        leftovers = set(blobs) - set(finals)
+        assert len(leftovers) == (failing == "killed") and all(name.endswith(".tmp") for name in leftovers)
+        assert [path.name for path in (tmp_path / pid).iterdir()] == ["manifest.json"]
+        store_page(changed, tmp_path)
+        assert load_page(pid, tmp_path) == changed
+
+    def test_old_layout_is_corrupt_and_says_to_restore(self, tmp_path):
+        # A page as the per-page layout stored it: bodies/<n>.bin beside the manifest.
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])
+        (tmp_path / page.page_id / "bodies").mkdir(parents=True)
+        entries = []
+        for index, ex in enumerate(page.exchanges.values()):
+            (tmp_path / page.page_id / "bodies" / f"{index}.bin").write_bytes(ex.body)
+            entries.append({
+                "method": ex.method, "url": ex.url, "status": ex.status,
+                "headers": [list(header) for header in ex.headers], "content_type": ex.content_type,
+                "body_file": f"bodies/{index}.bin", "body_sha256": hashlib.sha256(ex.body).hexdigest(),
+                "body_len": len(ex.body),
+            })
+        manifest = {"page_id": page.page_id, "root_url": page.root_url, "recorded_at": page.recorded_at,
+                    "source": page.source, "exchanges": entries}
+        (tmp_path / page.page_id / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptArchive, match=r"old per-page bodies/<n>\.bin layout.*store the page again"):
+            load_page(page.page_id, tmp_path)
+        store_page(page, tmp_path)  # storing again over the old directory makes it loadable
+        assert load_page(page.page_id, tmp_path) == page
+
+    @pytest.mark.parametrize("page_id", ["", ".", "..", "../elsewhere/p", "a/b", "a\\b", "a\x00b"])
+    def test_page_id_must_be_one_path_component(self, tmp_path, page_id):
+        page = page_from_parts("<html><body>x</body></html>")
+        with pytest.raises(CorruptArchive, match="single path component"):
+            load_page(page_id, tmp_path)
+        page.page_id = page_id
+        with pytest.raises(StorageError, match="single path component"):
+            store_page(page, tmp_path / "archive")
+        assert not (tmp_path / "archive").exists()
+
+    def test_page_outside_the_archive_is_not_read(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>")
+        store_page(page, tmp_path / "elsewhere")
+        (tmp_path / "archive").mkdir()
+        with pytest.raises(CorruptArchive):
+            load_page(f"../elsewhere/{page.page_id}", tmp_path / "archive")
 
 
 class TestCorpus:
@@ -392,6 +596,14 @@ class TestCorpus:
     def test_missing_corpus(self, tmp_path):
         with pytest.raises(CorruptArchive):
             load_corpus("ghost", tmp_path)
+
+    @pytest.mark.parametrize("page_id", ["", ".", "..", "../elsewhere/p", "a/b", "a\\b", "a\x00b"])
+    def test_page_id_not_one_path_component_is_corrupt(self, tmp_path, page_id):
+        (tmp_path / "corpora").mkdir()
+        payload = {"name": "c1", "pages": ["p1", page_id]}
+        (tmp_path / "corpora" / "c1.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArchive, match="single path component"):
+            load_corpus("c1", tmp_path)
 
     @pytest.mark.parametrize(
         "payload",
@@ -418,3 +630,26 @@ def test_page_id_is_stable_and_safe():
     pid = page_id_for_url("HTTP://Example.COM:80/a/b.html")
     assert pid == page_id_for_url("http://example.com/a/b.html")
     assert "/" not in pid and ":" not in pid
+
+
+def test_200_page_variants_round_trip_through_blobs(fixtures200, tmp_path):
+    solutions = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]
+    config = config_from_dict(
+        {
+            "archive_dir": str(fixtures200.archive_dir),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "fixtures", "pages": fixtures200.corpus.pages},
+            "solutions": solutions,
+        }
+    )
+    assert run_experiment(config).exit_code == 0
+    variants = tmp_path / "out" / "variants"
+    digests = set()
+    for page_id, page in fixtures200.pages.items():
+        for name in solutions:
+            expected = apply_transform(TransformSpec(name=name), page).page
+            assert load_page(f"{page_id}:{name}", variants) == expected
+            digests.update(hashlib.sha256(ex.body).hexdigest() for ex in expected.exchanges.values())
+    assert len(list((variants / "blobs").iterdir())) == len(digests)
+    assert blob_names(variants) == digests
+    assert len(list(variants.iterdir())) == 1 + len(fixtures200.pages) * len(solutions)

@@ -21,6 +21,13 @@ from wasef.pagemodel import parse_page
 from conftest import page_from_parts
 
 
+def root_blob(archive: Path, page_id: str) -> Path:
+    """The blob that holds a stored page's root document."""
+    manifest = json.loads((archive / page_id / "manifest.json").read_text())
+    entry = next(e for e in manifest["exchanges"] if e["url"] == manifest["root_url"])
+    return archive / "blobs" / entry["body_sha256"]
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     return {
         str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -102,6 +109,21 @@ class TestConfig:
         raw["corpus"]["group_labels"] = group_labels
         with pytest.raises(ConfigError, match="group_labels"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("page_id", ["", ".", "..", "a/b", "a\\b", "a\x00b"])
+    def test_inline_page_id_must_be_one_path_component(self, tmp_path, page_id):
+        raw = self._raw(tmp_path, tmp_path / "out", [page_id])
+        with pytest.raises(ConfigError, match="single path component") as exc_info:
+            config_from_dict(raw)
+        assert exc_info.value.field == "corpus.pages"
+
+    def test_page_outside_the_archive_is_a_config_error(self, tmp_path):
+        corpus = make_fixtures(tmp_path / "elsewhere", 1, seed=1)
+        (tmp_path / "archive").mkdir()
+        raw = self._raw(tmp_path / "archive", tmp_path / "out", [f"../elsewhere/{corpus.pages[0]}"])
+        with pytest.raises(ConfigError, match="single path component") as exc_info:
+            config_from_dict(raw)
+        assert exc_info.value.field == "corpus.pages"
 
     def test_malformed_named_corpus_is_a_config_error(self, tmp_path):
         (tmp_path / "corpora").mkdir()
@@ -226,8 +248,7 @@ class TestRunExperiment:
             }
         )
         # Corrupt the only page after validation so every load fails.
-        manifest = tmp_path / "archive" / corpus.pages[0] / "bodies" / "0.bin"
-        manifest.unlink()
+        root_blob(tmp_path / "archive", corpus.pages[0]).unlink()
         result = run_experiment(config)
         assert result.exit_code == 4
         assert result.records == []
@@ -370,7 +391,7 @@ class TestSinglePath:
     def test_evaluate_skips_a_page_that_fails_to_load(self, tmp_path, caplog):
         corpus = make_fixtures(tmp_path / "archive", 6, seed=3)
         broken = corpus.pages[2]
-        (tmp_path / "archive" / broken / "bodies" / "0.bin").unlink()
+        root_blob(tmp_path / "archive", broken).unlink()
         assert evaluate(tmp_path / "archive", tmp_path / "results.json") == 3
         rows = json.loads((tmp_path / "results.json").read_text())
         assert {row["page_id"] for row in rows} == set(corpus.pages) - {broken}
@@ -549,3 +570,22 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestPageIdArguments:
+    @pytest.mark.parametrize("command", ["serve", "inspect"])
+    @pytest.mark.parametrize("page_id", ["../x", "..", "a/b"])
+    def test_page_outside_the_archive_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, command, page_id):
+        def interrupt(seconds):  # a server that did start stops at once
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        corpus = make_fixtures(tmp_path / "elsewhere", 1, seed=2)
+        (tmp_path / "archive").mkdir()
+        if page_id == "../x":
+            page_id = f"../elsewhere/{corpus.pages[0]}"  # a real page, one level up
+        code = main([command, "--archive", str(tmp_path / "archive"), "--page", page_id])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1 and "single path component" in captured.err
+        assert captured.out == ""
