@@ -318,7 +318,7 @@ def _ensure_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def write_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to a temporary name unique to this process and thread,
     then os.replace it to ``path``: ``path`` holds its old bytes or all of the
     new ones. The temporary file is removed when a step fails."""
@@ -369,7 +369,7 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
         for ex in page.exchanges.values():
             digest = ex.sha256()
             if not os.path.exists(blob_prefix + digest):
-                _write_atomic(blob_prefix + digest, ex.body)
+                write_atomic(blob_prefix + digest, ex.body)
             manifest_exchanges.append(
                 {
                     "method": ex.method,
@@ -389,7 +389,7 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
             "source": page.source,
             "exchanges": manifest_exchanges,
         }
-        _write_atomic(
+        write_atomic(
             os.path.join(page_dir, MANIFEST_NAME),
             (json.dumps(manifest, ensure_ascii=False) + "\n").encode("utf-8"),
         )
@@ -540,7 +540,7 @@ def save_corpus(corpus: Corpus, root_dir: str | Path) -> Path:
             "pages": corpus.pages,
             "group_labels": corpus.group_labels,
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_atomic(str(path), (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
     except OSError as exc:
         raise StorageError(f"cannot save corpus {corpus.name}: {exc}") from exc
     return path
@@ -566,6 +566,6 @@ def load_corpus(name: str, root_dir: str | Path) -> Corpus:
         problem = page_id_problem(page_id)
         if problem:
             raise CorruptArchive(f"corpus {name!r}: {problem}")
-    if not isinstance(group_labels, dict):
-        raise CorruptArchive(f"corpus {name!r}: 'group_labels' must be an object")
+    if not isinstance(group_labels, dict) or not all(isinstance(label, str) for label in group_labels.values()):
+        raise CorruptArchive(f"corpus {name!r}: 'group_labels' must map page ids to label strings")
     return Corpus(name=corpus_name, pages=pages, group_labels=group_labels)

@@ -268,7 +268,7 @@ def _evaluate_pair(
         store_page(variant.page, variants_dir)
     variant_graph = pagemodel.parse_page(variant.page)
     metrics = simulate_load(variant_graph, config.network, config.device)
-    return metrics, similarity.score_graphs(original_graph, variant.page, variant_graph)
+    return metrics, similarity.score_graphs(original_graph, variant_graph)
 
 
 def _skip(skips: list, page_id: str, solution: str, reason) -> None:

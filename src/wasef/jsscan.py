@@ -8,13 +8,14 @@ needs to know whether a handler name still has a plain definition.
 
 Every scan of a script body goes through one ScriptIndex: its top-level
 function spans, its top-level defined names and a count of its ``[\\w$]+``
-tokens, built in a single pass over the text. The pipeline evaluates a page
-under every solution in turn, and most solutions leave most script bodies
-unchanged, so the same texts are asked about again and again (by js-dce,
-by functional similarity, for every solution). index() therefore caches the
-last few indexes by text. The cache is kept small on purpose: each entry
-pins its text, and pages are evaluated one after another, so a page's bodies
-only need to stay cached while that page is being evaluated.
+tokens, built in a single pass over the text. Two callers ask: js-dce, for
+spans and tokens, and pagemodel.ResourceGraph.defined_names, for the names
+each script of a variant defines. Most solutions leave most script bodies
+unchanged, so the same texts are asked about again and again. index()
+therefore caches the last few indexes by text. The cache is kept small on
+purpose: each entry pins its text, and pages are evaluated one after
+another, so a page's bodies only need to stay cached while that page is
+being evaluated.
 """
 
 from __future__ import annotations

@@ -9,14 +9,17 @@ injection idioms are flagged as potentially undercounted instead.
 Parsing is split in two steps. html_index() tokenizes a root document once
 into a frozen HtmlIndex: the referenced resources with their kind, resolved
 URL and byte offset, the text blocks, the interactive elements, the tag
-histogram, and the script spans and handler-attribute edits that the
-transforms rewrite. The index depends only on the root body's bytes and the
-root URL. A run evaluates one page under every solution in turn, and most
-solutions leave the root HTML unchanged, so the last few indexes are cached
-by (body, root URL). parse_page() then binds an index to one page. It builds
-fresh Resource and TextBlock objects, takes each resource's size and missing
-flag from that page's own exchanges, and sets the visual weights and the
-undercount flag, which also read the page's script bodies.
+histogram, the script spans and handler-attribute edits that the
+transforms rewrite, and whether an inline script injects. The index depends
+only on the root body's bytes and the root URL. A run evaluates one page
+under every solution in turn, and most solutions leave the root HTML
+unchanged, so the last few indexes are cached by (body, root URL).
+parse_page() then binds an index to one page. It builds fresh Resource and
+TextBlock objects, takes each resource's size and missing flag from that
+page's own exchanges, and sets the visual weights. It also decodes each of
+the page's archived script bodies once, referenced or not, for the
+undercount flag and for the graph's defined_names: the top-level names the
+page's scripts define, which functional similarity reads.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from html.parser import HTMLParser
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import jsscan
 from .archive import ArchivedPage, is_js_content_type, normalize_url
 from .errors import EmptyDocument, MalformedUrl
 
@@ -108,9 +112,19 @@ class ResourceGraph:
     total_visual_weight: float = 0.0
     zero_visual: bool = False
     maybe_undercounted: bool = False
+    script_texts: tuple[str, ...] = field(default=(), repr=False)  # every archived JS body, decoded
 
     def sub_resources(self) -> list[Resource]:
         return self.resources[1:]
+
+    @functools.cached_property
+    def defined_names(self) -> frozenset[str]:
+        """Names defined at top level by the archived scripts and the inline
+        scripts. Scanned on first use: functional similarity asks only of a
+        variant whose original has interactive elements."""
+        texts = [*self.script_texts]
+        texts += [res.inline_text for res in self.resources if res.kind == KIND_SCRIPT_INLINE and res.inline_text]
+        return frozenset().union(*map(jsscan.top_level_defined_names, texts))
 
 
 def _collapse_ws(text: str) -> str:
@@ -445,19 +459,14 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
         interactive_elements=list(index.interactive_elements),
         tag_histogram=dict(index.tag_histogram),
     )
-    graph.maybe_undercounted = index.inline_injects or _scripts_look_injecting(page)
+    graph.script_texts = tuple(
+        decode_body(ex.body)[0] for ex in page.exchanges.values() if is_js_content_type(ex.content_type)
+    )
+    graph.maybe_undercounted = index.inline_injects or any(
+        marker in text for text in graph.script_texts for marker in _INJECTION_MARKERS
+    )
     visual_weights(graph)
     return graph
-
-
-def _scripts_look_injecting(page: ArchivedPage) -> bool:
-    """Whether an archived script body carries an injection marker."""
-    for ex in page.exchanges.values():
-        if is_js_content_type(ex.content_type):
-            source = ex.body.decode("utf-8", errors="replace")
-            if any(marker in source for marker in _INJECTION_MARKERS):
-                return True
-    return False
 
 
 def visual_weights(graph: ResourceGraph, text_weight_per_char: float = TEXT_WEIGHT_PER_CHAR) -> dict[int, float]:

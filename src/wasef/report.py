@@ -7,10 +7,13 @@ printed with Python's shortest round-trip representation.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
 
+from .archive import write_atomic
 from .errors import StorageError
 from .similarity import SimilarityScores
 from .stats import DeltaRecord, DistributionSummary, DELTA_METRICS, summary_to_dict
@@ -44,12 +47,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_text = functools.partial(escape, quote=False)  # a data string (page id, solution, ...) as HTML text
+
+
 def write_text(text: str, path: str | Path) -> Path:
-    """Write a UTF-8 output file, creating its directory; OSError becomes StorageError."""
+    """Atomically write a UTF-8 output file, creating its directory; OSError becomes StorageError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        write_atomic(str(path), text.encode("utf-8"))
     except OSError as exc:
         raise StorageError(f"cannot write {path.name}: {exc}") from exc
     return path
@@ -61,8 +67,9 @@ def write_json(value, path: str | Path) -> Path:
 
 
 def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
-    """Write deltas.csv and similarity.csv (plus skips.csv when there are
-    skips) with stable lexicographic row order."""
+    """Write deltas.csv and similarity.csv, plus skips.csv when there are
+    skips, with stable lexicographic row order. Without skips, a skips.csv
+    an earlier run left in out_dir is removed."""
     out = Path(out_dir)
     rows = sorted(bundle.deltas, key=lambda r: (r.page_id, r.solution, r.metric))
     lines = ["page_id,solution,metric,original,variant,delta"]
@@ -86,6 +93,11 @@ def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
         for page_id, solution, reason in sorted(bundle.skip_report):
             lines.append(f"{page_id},{solution},{reason.replace(',', ';')}")
         paths.append(write_text("\n".join(lines) + "\n", out / "skips.csv"))
+    else:
+        try:
+            (out / "skips.csv").unlink(missing_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot remove skips.csv: {exc}") from exc
     return paths
 
 
@@ -248,9 +260,9 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
             (s for s in summaries if s.group is not None),
             key=lambda s: (s.solution, s.group),
         )
-        ecdf_series = [(s.solution, s.ecdf) for s in combined]
+        ecdf_series = [(_text(s.solution), s.ecdf) for s in combined]
         bars = [
-            (s.solution if s.group is None else f"{s.solution}/{s.group}", s.mean, s.ci95[0], s.ci95[1])
+            (_text(s.solution if s.group is None else f"{s.solution}/{s.group}"), s.mean, s.ci95[0], s.ci95[1])
             for s in combined + grouped
         ]
         panels = _ecdf_panel(f"delta {metric} ECDF", ecdf_series, f"delta {metric}")
@@ -266,11 +278,11 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         from .stats import ecdf as _ecdf  # local import keeps module deps one-way
 
         struct_series = [
-            (solution, _ecdf(values[0]))
+            (_text(solution), _ecdf(values[0]))
             for solution, values in sorted(sim_by_solution.items())
         ]
         func_series = [
-            (solution, _ecdf(values[1]))
+            (_text(solution), _ecdf(values[1]))
             for solution, values in sorted(sim_by_solution.items())
         ]
         panels = _ecdf_panel("structural similarity ECDF", struct_series, "score")
@@ -278,7 +290,7 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         sections.append(f"<section><h2>similarity</h2><div class='row'>{panels}</div></section>")
 
     skip_rows = "".join(
-        f"<tr><td>{p}</td><td>{s}</td><td>{r}</td></tr>"
+        f"<tr><td>{_text(p)}</td><td>{_text(s)}</td><td>{_text(r)}</td></tr>"
         for p, s, r in sorted(bundle.skip_report)
     )
     skips_html = (
@@ -288,7 +300,7 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         else ""
     )
 
-    config_json = json.dumps(bundle.config_snapshot, indent=2, sort_keys=True)
+    config_json = _text(json.dumps(bundle.config_snapshot, indent=2, sort_keys=True))
     html = (
         "<!doctype html><html><head><meta charset='utf-8'>"
         f"<title>experiment {bundle.experiment_id}</title>"

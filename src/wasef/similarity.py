@@ -4,6 +4,9 @@ Scoring is DOM-derived and deterministic: text token overlap, image URL
 overlap, tag histogram cosine, and static preservation of interactive
 elements with resolvable handler names. There is no rendering and no script
 execution.
+
+Scores compare two parsed graphs and nothing else: the names a variant's
+scripts define are its graph's defined_names (pagemodel.ResourceGraph).
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import jsscan, pagemodel
-from .archive import ArchivedPage, is_js_content_type
-from .pagemodel import KIND_IMAGE, KIND_SCRIPT_INLINE, ResourceGraph
+from . import pagemodel
+from .archive import ArchivedPage
+from .pagemodel import KIND_IMAGE, ResourceGraph
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)  # text, image, element; must sum to 1
 
@@ -89,20 +92,6 @@ def structural_similarity(
     )
 
 
-def _retained_script_texts(page: ArchivedPage, graph: ResourceGraph) -> list[str]:
-    texts = []
-    for ex in page.exchanges.values():
-        if is_js_content_type(ex.content_type):
-            try:
-                texts.append(ex.body.decode("utf-8"))
-            except UnicodeDecodeError:
-                texts.append(ex.body.decode("latin-1"))
-    for res in graph.resources:
-        if res.kind == KIND_SCRIPT_INLINE and res.inline_text:
-            texts.append(res.inline_text)
-    return texts
-
-
 def functional_similarity(original_page: ArchivedPage, variant_page: ArchivedPage) -> float:
     """Fraction of the original's interactive elements preserved by the
     variant: the identity key must still exist and every handler name must
@@ -111,37 +100,24 @@ def functional_similarity(original_page: ArchivedPage, variant_page: ArchivedPag
     return score_pages(original_page, variant_page).functional
 
 
-def functional_similarity_graphs(
-    original_graph: ResourceGraph,
-    variant_page: ArchivedPage,
-    variant_graph: ResourceGraph,
-) -> float:
+def functional_similarity_graphs(original_graph: ResourceGraph, variant_graph: ResourceGraph) -> float:
+    """functional_similarity of two parsed graphs."""
     originals = original_graph.interactive_elements
     if not originals:
         return 1.0
     variant_keys = {el.identity_key for el in variant_graph.interactive_elements}
-    defined: set[str] = set()
-    for text in _retained_script_texts(variant_page, variant_graph):
-        defined |= jsscan.top_level_defined_names(text)
-    preserved = 0
-    for el in originals:
-        if el.identity_key not in variant_keys:
-            continue
-        if all(name in defined for name in el.handler_fn_names):
-            preserved += 1
+    defined = variant_graph.defined_names
+    preserved = sum(el.identity_key in variant_keys and el.handler_fn_names <= defined for el in originals)
     return preserved / len(originals)
 
 
-def score_graphs(
-    original_graph: ResourceGraph, variant_page: ArchivedPage, variant_graph: ResourceGraph
-) -> SimilarityScores:
-    """Structural and functional scores of a variant, given its page and
-    both parsed graphs."""
+def score_graphs(original_graph: ResourceGraph, variant_graph: ResourceGraph) -> SimilarityScores:
+    """Structural and functional scores of a variant from both parsed graphs."""
     scores = structural_similarity(original_graph, variant_graph)
-    scores.functional = functional_similarity_graphs(original_graph, variant_page, variant_graph)
+    scores.functional = functional_similarity_graphs(original_graph, variant_graph)
     return scores
 
 
 def score_pages(original_page: ArchivedPage, variant_page: ArchivedPage) -> SimilarityScores:
     """Structural and functional scores for a (original, variant) pair."""
-    return score_graphs(pagemodel.parse_page(original_page), variant_page, pagemodel.parse_page(variant_page))
+    return score_graphs(pagemodel.parse_page(original_page), pagemodel.parse_page(variant_page))

@@ -381,6 +381,40 @@ def test_criterion_08_replicability(fixtures20, tmp_path):
             first == second == parallel, f"(digests {first[0][:12]}..)")
 
 
+# SHA-256 of the artifacts of a five-solution 3g/lowend run over the seeded
+# 200-page corpus that do not name the archive path. A refactor must leave
+# every one of them unchanged.
+PINNED_200_PAGE_DIGESTS = {
+    "results.json": "6de4db825e66c684bb21bfa68c93a92d9400769dbc169b128fe773075699e54d",
+    "similarity.json": "cad20c67d3bc3ac17f5f6d8e3173c779a184447b8ccb4161f15a14bafdddb4b5",
+    "report/deltas.csv": "a7eb8ffc1cd254bb746d47c293920ffee387bd2bceb4207e7f4bbe470b284243",
+    "report/similarity.csv": "5a6be72aa97ad7d8fcaca69bfd6c02eb21242c282080f1c0b34854f594728d8a",
+}
+
+
+def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
+    config = config_from_dict(
+        {
+            "archive_dir": str(fixtures200.archive_dir),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {
+                "name": "fixtures",
+                "pages": fixtures200.corpus.pages,
+                "group_labels": fixtures200.corpus.group_labels,
+            },
+            "solutions": ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"],
+            "network": "3g",
+            "device": "lowend",
+        }
+    )
+    assert run_experiment(config).exit_code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in PINNED_200_PAGE_DIGESTS
+    }
+    assert digests == PINNED_200_PAGE_DIGESTS
+
+
 def test_criterion_09_replay_shaping():
     body = b"\x42" * 100000
     page = page_from_parts(

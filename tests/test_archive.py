@@ -593,6 +593,13 @@ class TestCorpus:
         save_corpus(corpus, tmp_path)
         assert load_corpus("c1", tmp_path) == corpus
 
+    def test_saved_bytes_are_indented_json_and_no_temporary_file_stays(self, tmp_path):
+        corpus = Corpus(name="c1", pages=["p1", "p2"], group_labels={"p1": "landing"})
+        path = save_corpus(corpus, tmp_path)
+        payload = {"name": "c1", "pages": ["p1", "p2"], "group_labels": {"p1": "landing"}}
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        assert os.listdir(tmp_path / "corpora") == ["c1.json"]
+
     def test_missing_corpus(self, tmp_path):
         with pytest.raises(CorruptArchive):
             load_corpus("ghost", tmp_path)
@@ -617,6 +624,9 @@ class TestCorpus:
             {"name": "c1", "pages": {"p1": "landing"}},
             {"name": "c1", "pages": [1, 2]},
             {"name": "c1", "pages": ["p1"], "group_labels": ["landing"]},
+            {"name": "c1", "pages": ["p1"], "group_labels": {"p1": ["x"]}},
+            {"name": "c1", "pages": ["p1"], "group_labels": {"p1": 3}},
+            {"name": "c1", "pages": ["p1"], "group_labels": {"p1": None}},
         ],
     )
     def test_malformed_corpus_is_corrupt(self, tmp_path, payload):

@@ -320,6 +320,46 @@ class TestCliSurface:
         err = capsys.readouterr().err
         assert "config error" in err
 
+    def test_rerun_without_skips_removes_the_earlier_skips_csv(self, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        make_fixtures(archive, 2, seed=6)
+        raw = {
+            "archive_dir": str(archive),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": "fixtures",
+            "solutions": ["identity", "js-dce"],
+        }
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({**raw, "min_page_bytes": 10**9}))
+        assert main(["run", "--config", str(config_path)]) == 4  # every page below the floor
+        assert (tmp_path / "out" / "report" / "skips.csv").is_file()
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "out" / "report" / "skips.csv").exists()
+
+    def test_non_string_group_label_exits_2_with_one_line(self, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        corpus = make_fixtures(archive, 2, seed=6)
+        corpus_path = archive / "corpora" / "fixtures.json"
+        payload = json.loads(corpus_path.read_text())
+        payload["group_labels"] = {corpus.pages[0]: ["x"]}
+        corpus_path.write_text(json.dumps(payload))
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "archive_dir": str(archive),
+                    "out_dir": str(tmp_path / "out"),
+                    "corpus": "fixtures",
+                    "solutions": ["identity"],
+                }
+            )
+        )
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "group_labels" in err and "Traceback" not in err
+
     def test_env_var_archive_default(self, tmp_path, capsys, monkeypatch):
         archive = tmp_path / "archive"
         make_fixtures(archive, 1, seed=2)

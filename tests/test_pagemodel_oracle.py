@@ -1,8 +1,9 @@
 """The HTML index and its per-page bind against frozen reference copies of
 the two tokenizers they replace: the graph extractor that parse_page ran
 over every page, and the tag scanner that js-strip, js-block-thirdparty and
-js-dce ran over every original. Both are checked with ``hypothesis`` on
-generated HTML and on the fixture pages."""
+js-dce ran over every original. The similarity scorer is checked against
+the reference that read each variant's script bodies itself. All are
+checked with ``hypothesis`` on generated HTML and on the fixture pages."""
 
 import re
 from collections import Counter
@@ -35,12 +36,14 @@ from wasef.pagemodel import (
     parse_page,
     visual_weights,
 )
+from wasef.similarity import score_graphs, structural_similarity
 from wasef.transform import (
     TransformSpec,
     _apply_edits,
     _rebuild_page,
     _script_exchange_urls,
     apply_transform,
+    list_transforms,
 )
 
 from conftest import page_from_parts
@@ -241,6 +244,33 @@ def _ref_scripts_look_injecting(page, graph):
     return any(marker in source for source in sources for marker in _REF_INJECTION_MARKERS)
 
 
+def _ref_retained_script_texts(page, graph):
+    texts = []
+    for ex in page.exchanges.values():
+        if is_js_content_type(ex.content_type):
+            try:
+                texts.append(ex.body.decode("utf-8"))
+            except UnicodeDecodeError:
+                texts.append(ex.body.decode("latin-1"))
+    for res in graph.resources:
+        if res.kind == KIND_SCRIPT_INLINE and res.inline_text:
+            texts.append(res.inline_text)
+    return texts
+
+
+def _ref_script_texts(page):
+    return tuple(
+        ref_decode_html(ex.body)[0] for ex in page.exchanges.values() if is_js_content_type(ex.content_type)
+    )
+
+
+def _ref_defined_names(page, graph):
+    defined = set()
+    for text in _ref_retained_script_texts(page, graph):
+        defined |= jsscan.top_level_defined_names(text)
+    return frozenset(defined)
+
+
 def ref_parse_page(page):
     body = page.root_exchange().body
     if len(body) == 0:
@@ -267,8 +297,34 @@ def ref_parse_page(page):
         tag_histogram=dict(extractor.tag_histogram),
     )
     graph.maybe_undercounted = _ref_scripts_look_injecting(page, graph)
+    graph.script_texts = _ref_script_texts(page)
+    graph.defined_names = _ref_defined_names(page, graph)
     visual_weights(graph)
     return graph
+
+
+# --- reference similarity scorer --------------------------------------------------
+
+
+def ref_functional_similarity_graphs(original_graph, variant_page, variant_graph):
+    originals = original_graph.interactive_elements
+    if not originals:
+        return 1.0
+    variant_keys = {el.identity_key for el in variant_graph.interactive_elements}
+    defined = _ref_defined_names(variant_page, variant_graph)
+    preserved = 0
+    for el in originals:
+        if el.identity_key not in variant_keys:
+            continue
+        if all(name in defined for name in el.handler_fn_names):
+            preserved += 1
+    return preserved / len(originals)
+
+
+def ref_score_graphs(original_graph, variant_page, variant_graph):
+    scores = structural_similarity(original_graph, variant_graph)
+    scores.functional = ref_functional_similarity_graphs(original_graph, variant_page, variant_graph)
+    return scores
 
 
 # --- reference tag scanner and the transforms that read it ------------------------
@@ -445,6 +501,7 @@ def assert_graph_matches_reference(page):
     assert graph_to_dict(graph) == graph_to_dict(reference)
     assert _graph_details(graph) == _graph_details(reference)
     assert graph == reference
+    assert graph.defined_names == reference.defined_names
 
 
 def assert_transforms_match_reference(page):
@@ -454,6 +511,17 @@ def assert_transforms_match_reference(page):
         assert _exchanges(variant) == _exchanges(expected), name
         if variant.root_exchange().body:
             assert_graph_matches_reference(variant)
+
+
+def assert_scores_match_reference(page):
+    """score_graphs against the reference scorer under every built-in transform."""
+    original_graph = parse_page(page)
+    for name, _, _ in list_transforms():
+        variant = apply_transform(TransformSpec(name=name), page).page
+        if not variant.root_exchange().body:
+            continue
+        scores = score_graphs(original_graph, parse_page(variant))
+        assert scores == ref_score_graphs(ref_parse_page(page), variant, ref_parse_page(variant)), name
 
 
 # --- generated HTML ---------------------------------------------------------------
@@ -474,6 +542,8 @@ URLS = [
     "http://[bad",
     " ",
     "&amp;q=1&lt;",
+    "g.js",
+    "//cdn.other.test/h.js",
 ]
 url_values = st.sampled_from(URLS)
 words = st.sampled_from(["alpha", "beta", "caf\xe9", "&amp;", "&lt;b&gt;", "&copy;", "&#169;", "&nbsp;", "&bogus;", "x"])
@@ -552,6 +622,9 @@ assets = st.lists(
         ("/c.js", "application/javascript", b"function save(){}\nfunction pop(){}"),
         ("http://cdn.other.test/d.js", "application/javascript", b"function f(){}"),
         ("http://cdn.other.test/e.js", "application/javascript", b"new Image();"),
+        # Not valid UTF-8, with an invalid byte directly before a marker.
+        ("/g.js", "application/javascript", b"function pop(){}\nvar caf\xe9 = 1;\xffnew Image();"),
+        ("http://cdn.other.test/h.js", "text/javascript", b"\xe2document.createElement('script'); save = 1;"),
         ("/pic.png", "image/png", b"\x89PNG" * 50),
         ("/pic2.png", "image/png", b""),
         ("/s.css", "text/css", b"body{}"),
@@ -583,7 +656,11 @@ def _body(parts, tail, latin1):
     "<script>unclosed(",
     True,
     True,
-    [("/a.js", "application/javascript", b"function go(){}"), ("/pic.png", "image/png", b"1234")],
+    [
+        ("/a.js", "application/javascript", b"function go(){}"),
+        ("/g.js", "application/javascript", b"function pop(){}\xffnew Image();"),
+        ("/pic.png", "image/png", b"1234"),
+    ],
 )
 @given(
     st.lists(elements, max_size=25),
@@ -600,6 +677,7 @@ def test_index_and_bind_match_reference_extractor(parts, tail, latin1, wrap, pag
     assume(page.root_exchange().body)  # an empty root has its own test
     assert_graph_matches_reference(page)
     assert_transforms_match_reference(page)
+    assert_scores_match_reference(page)
 
 
 def test_empty_root_raises_like_reference():
@@ -622,4 +700,5 @@ def test_fixture_pages_match_reference(tmp_path):
         assert_transforms_match_reference(page)
         for name in ("identity", "img-downscale"):
             assert_graph_matches_reference(apply_transform(TransformSpec(name=name), page).page)
+        assert_scores_match_reference(page)
 

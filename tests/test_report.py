@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import re
 
-from wasef.report import ReportBundle, emit_csv, emit_html, emit_summaries, write_bundle
+import pytest
+
+from wasef.errors import StorageError
+from wasef.report import ReportBundle, emit_csv, emit_html, emit_summaries, write_bundle, write_text
 from wasef.similarity import SimilarityScores
 from wasef.stats import DeltaRecord, summarize_deltas
 
@@ -60,6 +64,12 @@ class TestCsv:
         emit_csv(sample_bundle(skips=[("p9", "strip", "kaput")]), tmp_path)
         assert "p9,strip,kaput" in (tmp_path / "skips.csv").read_text()
 
+    def test_skips_file_of_an_earlier_bundle_is_removed(self, tmp_path):
+        emit_csv(sample_bundle(skips=[("p9", "strip", "kaput")]), tmp_path)
+        paths = emit_csv(sample_bundle(), tmp_path)
+        assert not (tmp_path / "skips.csv").exists()
+        assert [p.name for p in paths] == ["deltas.csv", "similarity.csv"]
+
     def test_reemission_is_byte_identical(self, tmp_path):
         bundle = sample_bundle()
         emit_csv(bundle, tmp_path / "a")
@@ -110,6 +120,23 @@ class TestHtml:
         html = emit_html(sample_bundle(skips=[("p9", "s", "boom")]), tmp_path).read_text()
         assert "<td>p9</td>" in html
 
+    def test_data_strings_are_escaped(self, tmp_path):
+        deltas = sample_deltas(pages=("p<1", "p2"), solutions=("x<y&z",))
+        bundle = ReportBundle(
+            experiment_id="abc123",
+            config_snapshot={"solutions": [{"name": "x<y&z"}], "note": "a > b"},
+            summaries=summarize_deltas(deltas, {"p<1": "<g&1>"}),
+            similarity_table=[("p<1", "x<y&z", SimilarityScores(0.9, 1.0, 0.8, 0.7, functional=0.75))],
+            skip_report=[("p<1", "x<y&z", "bad <script> & worse")],
+            deltas=deltas,
+        )
+        html = emit_html(bundle, tmp_path).read_text()
+        assert "x<y&z" not in html and "<g&1>" not in html and "<script>" not in html
+        assert "<td>p&lt;1</td><td>x&lt;y&amp;z</td><td>bad &lt;script&gt; &amp; worse</td>" in html
+        assert "x&lt;y&amp;z/&lt;g&amp;1&gt;" in html  # a grouped bar label
+        assert '"name": "x&lt;y&amp;z"' in html and '"note": "a &gt; b"' in html
+        assert "P(X &#8804; x)" in html  # fixed labels stay as they are
+
 
 class TestSummariesJson:
     def test_numbers_recomputable_from_deltas(self, tmp_path):
@@ -129,6 +156,20 @@ class TestSummariesJson:
         payload = json.loads(emit_summaries(sample_bundle(), tmp_path).read_text())
         assert payload["config"] == {"seed": 0, "network": {"name": "3g"}}
         assert payload["experiment_id"] == "abc123"
+
+
+def test_failed_replace_leaves_the_earlier_file_intact(tmp_path, monkeypatch):
+    path = write_text("first\n", tmp_path / "report" / "deltas.csv")
+    assert path.read_bytes() == b"first\n"
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(StorageError, match="deltas.csv"):
+        write_text("second\n", path)
+    assert path.read_bytes() == b"first\n"
+    assert os.listdir(path.parent) == ["deltas.csv"]  # no temporary file left
 
 
 def test_write_bundle_emits_everything(tmp_path):
