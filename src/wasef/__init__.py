@@ -23,7 +23,7 @@ from .loadsim import (
     simulate_load,
     speed_index,
 )
-from .pagemodel import ResourceGraph, parse_page, visual_weights
+from .pagemodel import ResourceGraph, parse_page
 from .replay import ReplayServer, ShapingConfig, serve
 from .similarity import SimilarityScores, functional_similarity, structural_similarity
 from .stats import DeltaRecord, DistributionSummary, compute_deltas, ecdf, summarize
@@ -68,5 +68,4 @@ __all__ = [
     "store_page",
     "structural_similarity",
     "summarize",
-    "visual_weights",
 ]

@@ -307,6 +307,14 @@ def page_id_problem(page_id) -> str | None:
     return None
 
 
+def are_group_labels(value) -> bool:
+    """Whether ``value`` can label a corpus's pages: an object mapping page
+    ids to label strings."""
+    return isinstance(value, dict) and all(
+        isinstance(page_id, str) and isinstance(label, str) for page_id, label in value.items()
+    )
+
+
 def _ensure_dir(path: str) -> None:
     """os.makedirs(path, exist_ok=True) in one syscall when the parent exists
     (5 ms less per 1000-page store than os.makedirs)."""
@@ -566,6 +574,6 @@ def load_corpus(name: str, root_dir: str | Path) -> Corpus:
         problem = page_id_problem(page_id)
         if problem:
             raise CorruptArchive(f"corpus {name!r}: {problem}")
-    if not isinstance(group_labels, dict) or not all(isinstance(label, str) for label in group_labels.values()):
+    if not are_group_labels(group_labels):
         raise CorruptArchive(f"corpus {name!r}: 'group_labels' must map page ids to label strings")
     return Corpus(name=corpus_name, pages=pages, group_labels=group_labels)

@@ -86,6 +86,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if args.rtt_ms and args.bandwidth is None:
+        raise ConfigError("--rtt-ms", "needs --bandwidth: without it shaping is off and no RTT is added")
     try:
         shaping = ShapingConfig(
             downlink_bytes_per_sec=args.bandwidth or 0.0,

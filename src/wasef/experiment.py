@@ -27,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import pagemodel, report, similarity, stats
+from . import archive, pagemodel, report, similarity, stats
 from .archive import ArchivedPage, Corpus, load_corpus, load_page, page_id_problem, store_page
-from .errors import ConfigError, WasefError
+from .errors import ConfigError, StorageError, WasefError
 from .loadsim import (
     DEVICE_PROFILES,
     NETWORK_PROFILES,
@@ -201,12 +202,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(pages, list):
             raise ConfigError("corpus.pages", "must be a list of page ids")
         group_labels = corpus_raw.get("group_labels") or {}
-        if not isinstance(group_labels, dict):
-            raise ConfigError("corpus.group_labels", "must be an object of page id to group")
+        if not archive.are_group_labels(group_labels):
+            raise ConfigError("corpus.group_labels", "must map page ids to label strings")
         corpus = Corpus(
             name=str(corpus_raw.get("name", "inline")),
             pages=[str(p) for p in pages],
-            group_labels={str(k): str(v) for k, v in group_labels.items()},
+            group_labels=dict(group_labels),
         )
     else:
         raise ConfigError("corpus", "must be a corpus name or an inline object")
@@ -278,10 +279,18 @@ def _skip(skips: list, page_id: str, solution: str, reason) -> None:
 
 def run_experiment(config: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
     """Run the pipeline; with write_files, write results.json,
-    similarity.json, the report and every variant under out_dir."""
+    similarity.json, the report and every variant under out_dir. The
+    variants root, out_dir/variants, is emptied first, so it holds this
+    run's variants only."""
     out_dir = Path(config.out_dir)
     variants_dir = out_dir / "variants" if write_files else None
     if write_files:
+        try:
+            shutil.rmtree(variants_dir)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise StorageError(f"cannot empty {variants_dir}: {exc}") from None
         out_dir.mkdir(parents=True, exist_ok=True)
 
     pagemodel.html_index.cache_clear()

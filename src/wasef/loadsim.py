@@ -17,7 +17,9 @@ Model, in full:
 * Paint: a text block paints when the parser passes it and every
   render-blocking resource discovered before it has completed; an image
   additionally waits for its own fetch. Visual completeness at time t is
-  painted weight over total weight.
+  painted weight over total weight. Weights are the graph's derived ones:
+  an image weighs its byte size, a text block its character count times
+  pagemodel.TEXT_WEIGHT_PER_CHAR, and everything else nothing.
 * Ties: simultaneous events process in (time, sequence) order with sequence
   numbers assigned at scheduling time, so runs are bit-identical.
 
@@ -33,7 +35,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from . import pagemodel
 from .pagemodel import (
     KIND_HTML,
     KIND_IFRAME,
@@ -110,7 +111,7 @@ def speed_index(paint_timeline: list[tuple[float, float]], fcp: float = 0.0) -> 
 
 
 class _Fetch:
-    __slots__ = ("url", "host", "size", "missing", "seq", "state", "remaining", "done_time")
+    __slots__ = ("url", "host", "size", "missing", "seq", "state", "remaining")
 
     def __init__(self, url: str, host: str, size: int, missing: bool, seq: int):
         self.url = url
@@ -120,7 +121,6 @@ class _Fetch:
         self.seq = seq
         self.state = "queued"
         self.remaining = float(size)
-        self.done_time = 0.0
 
 
 class _PendingPaint:
@@ -154,7 +154,6 @@ class _Simulation:
         self.parse_active = False
         self.parse_blocked = False
         self.parse_finished = False
-        self.parse_end = 0.0
 
         self.thread_busy = False
         self.pending_inline: Resource | None = None
@@ -210,7 +209,6 @@ class _Simulation:
 
     def _complete_fetch(self, fetch: _Fetch) -> None:
         fetch.state = "done"
-        fetch.done_time = self.t
         self._bump_plt(self.t)
         self.host_active[fetch.host] -= 1
         if fetch is self.root_fetch:
@@ -267,7 +265,6 @@ class _Simulation:
         self.parse_pos = target
         if self.item_idx >= len(self.items):
             self.parse_finished = True
-            self.parse_end = self.t
             self._bump_plt(self.t)
             return
         item = self.items[self.item_idx]
@@ -377,7 +374,6 @@ class _Simulation:
         self.t = t_next
 
     def run(self) -> PageMetrics:
-        pagemodel.visual_weights(self.graph)  # idempotent; hand-built graphs arrive unweighted
         root = self.graph.root
         self.root_fetch = self._issue_fetch(root.url, root.bytes, root.missing)
         self._pump_hosts()

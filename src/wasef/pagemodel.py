@@ -14,12 +14,14 @@ transforms rewrite, and whether an inline script injects. The index depends
 only on the root body's bytes and the root URL. A run evaluates one page
 under every solution in turn, and most solutions leave the root HTML
 unchanged, so the last few indexes are cached by (body, root URL).
-parse_page() then binds an index to one page. It builds fresh Resource and
-TextBlock objects, takes each resource's size and missing flag from that
-page's own exchanges, and sets the visual weights. It also decodes each of
-the page's archived script bodies once, referenced or not, for the
-undercount flag and for the graph's defined_names: the top-level names the
-page's scripts define, which functional similarity reads.
+parse_page() then binds an index to one page: it builds a fresh Resource
+per referenced resource, taking only its size and missing flag from that
+page's own exchanges, and shares the index's immutable text blocks and
+interactive elements. Paint weights and render-blocking are derived from
+kind, size and character count, never stored. It also decodes each of the
+page's archived script bodies once, referenced or not, for the undercount
+flag and for the graph's defined_names: the top-level names the page's
+scripts define, which functional similarity reads.
 """
 
 from __future__ import annotations
@@ -46,14 +48,11 @@ KIND_SCRIPT_INLINE = "script_inline"
 KIND_STYLESHEET = "stylesheet"
 KIND_IMAGE = "image"
 KIND_IFRAME = "iframe"
-KIND_OTHER = "other"
 
-SCRIPT_KINDS = {KIND_SCRIPT_SYNC, KIND_SCRIPT_ASYNC, KIND_SCRIPT_DEFER, KIND_SCRIPT_INLINE}
 RENDER_BLOCKING_KINDS = {KIND_STYLESHEET, KIND_SCRIPT_SYNC}
 
 # Weight of one collapsed text character relative to one image byte; chosen so
-# a 2000-character article weighs like a 100 KB image. Configurable through
-# visual_weights().
+# a 2000-character article weighs like a 100 KB image.
 TEXT_WEIGHT_PER_CHAR = 50.0
 
 _INTERACTIVE_TAGS = {"a": "link", "button": "button", "input": "input", "form": "form"}
@@ -75,22 +74,32 @@ class Resource:
     kind: str
     bytes: int
     discovery_index: int
-    visual_weight: float = 0.0
-    render_blocking: bool = False
     doc_offset: float = 0.0  # byte offset of the tag within the root document
     missing: bool = False  # referenced but absent from the archive
     inline_text: str = ""  # script_inline only
 
+    @property
+    def visual_weight(self) -> float:
+        """Paint weight: an image's byte size, 0.0 for every other kind."""
+        return float(self.bytes) if self.kind == KIND_IMAGE else 0.0
 
-@dataclass
-class TextBlock:
+    @property
+    def render_blocking(self) -> bool:
+        return self.kind in RENDER_BLOCKING_KINDS
+
+
+class TextBlock(NamedTuple):
     """A maximal run of visible text, whitespace-collapsed."""
 
     char_count: int
     discovery_index: int
-    doc_offset: float = 0.0
+    doc_offset: float = 0.0  # byte offset within the root document
     text: str = ""
-    weight: float = 0.0
+
+    @property
+    def weight(self) -> float:
+        """Paint weight: char_count * TEXT_WEIGHT_PER_CHAR."""
+        return self.char_count * TEXT_WEIGHT_PER_CHAR
 
 
 @dataclass(frozen=True)
@@ -109,13 +118,26 @@ class ResourceGraph:
     text_blocks: list[TextBlock]
     interactive_elements: list[InteractiveElement]
     tag_histogram: dict[str, int] = field(default_factory=dict)
-    total_visual_weight: float = 0.0
-    zero_visual: bool = False
     maybe_undercounted: bool = False
     script_texts: tuple[str, ...] = field(default=(), repr=False)  # every archived JS body, decoded
 
     def sub_resources(self) -> list[Resource]:
         return self.resources[1:]
+
+    @property
+    def total_visual_weight(self) -> float:
+        """Resource weights, then text-block weights, each in document
+        order; that order fixes the float sum."""
+        total = 0.0
+        for res in self.resources:
+            total += res.visual_weight
+        for block in self.text_blocks:
+            total += block.weight
+        return total
+
+    @property
+    def zero_visual(self) -> bool:
+        return self.total_visual_weight <= 0.0
 
     @functools.cached_property
     def defined_names(self) -> frozenset[str]:
@@ -171,15 +193,6 @@ class IndexedResource(NamedTuple):
     inline_text: str = ""  # script_inline only
 
 
-class IndexedText(NamedTuple):
-    """A text block; the fields of TextBlock, in its order, without weight."""
-
-    char_count: int
-    discovery_index: int
-    doc_offset: float
-    text: str
-
-
 class ScriptSpan(NamedTuple):
     """A script element as character offsets into the document text. ``src``
     is its first non-empty src attribute, ``url`` that resolved; both are
@@ -198,7 +211,7 @@ class HtmlIndex:
     text: str  # the decoded root body
     codec: str  # "utf-8", or "latin-1" when the body is not valid UTF-8
     resources: tuple[IndexedResource, ...]  # document order, root excluded
-    text_blocks: tuple[IndexedText, ...]
+    text_blocks: tuple[TextBlock, ...]
     interactive_elements: tuple[InteractiveElement, ...]
     tag_histogram: Mapping[str, int]
     script_spans: tuple[ScriptSpan, ...]
@@ -229,7 +242,7 @@ class _IndexBuilder(HTMLParser):
         for line in text.split("\n")[:-1]:
             self._line_starts.append(self._line_starts[-1] + len(line) + 1)
         self.resources: list[IndexedResource] = []
-        self.text_blocks: list[IndexedText] = []
+        self.text_blocks: list[TextBlock] = []
         self.interactive: list[InteractiveElement] = []
         self.tag_histogram: Counter = Counter()
         self.script_spans: list[ScriptSpan] = []
@@ -364,7 +377,7 @@ class _IndexBuilder(HTMLParser):
         collapsed = _collapse_ws(data)
         if collapsed:
             self.text_blocks.append(
-                IndexedText(len(collapsed), self._next_index(), float(self._offset()), collapsed)
+                TextBlock(len(collapsed), self._next_index(), float(self._offset()), collapsed)
             )
 
     def finish(self):
@@ -446,7 +459,6 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
                 kind=res.kind,
                 bytes=0 if exchange is None else len(exchange.body),
                 discovery_index=res.discovery_index,
-                render_blocking=res.kind in RENDER_BLOCKING_KINDS,
                 doc_offset=res.doc_offset,
                 missing=exchange is None,
             )
@@ -455,7 +467,7 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
     graph = ResourceGraph(
         root=root,
         resources=resources,
-        text_blocks=[TextBlock(*block) for block in index.text_blocks],
+        text_blocks=list(index.text_blocks),
         interactive_elements=list(index.interactive_elements),
         tag_histogram=dict(index.tag_histogram),
     )
@@ -465,29 +477,7 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
     graph.maybe_undercounted = index.inline_injects or any(
         marker in text for text in graph.script_texts for marker in _INJECTION_MARKERS
     )
-    visual_weights(graph)
     return graph
-
-
-def visual_weights(graph: ResourceGraph, text_weight_per_char: float = TEXT_WEIGHT_PER_CHAR) -> dict[int, float]:
-    """Assign paint weights: image weight is its byte size, text weight is
-    char_count * text_weight_per_char. Returns a map keyed by discovery index
-    and flags the graph zero-visual when the total weight is zero."""
-    weights: dict[int, float] = {}
-    total = 0.0
-    for res in graph.resources:
-        res.visual_weight = float(res.bytes) if res.kind == KIND_IMAGE else 0.0
-        if res.visual_weight > 0:
-            weights[res.discovery_index] = res.visual_weight
-            total += res.visual_weight
-    for block in graph.text_blocks:
-        block.weight = block.char_count * text_weight_per_char
-        if block.weight > 0:
-            weights[block.discovery_index] = block.weight
-            total += block.weight
-    graph.total_visual_weight = total
-    graph.zero_visual = total <= 0.0
-    return weights
 
 
 def graph_to_dict(graph: ResourceGraph) -> dict:

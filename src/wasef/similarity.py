@@ -19,7 +19,7 @@ from . import pagemodel
 from .archive import ArchivedPage
 from .pagemodel import KIND_IMAGE, ResourceGraph
 
-DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)  # text, image, element; must sum to 1
+DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)  # text, image, element; they sum to 1
 
 
 @dataclass
@@ -71,16 +71,10 @@ def histogram_cosine(a: dict[str, int], b: dict[str, int]) -> float:
     return min(1.0, dot / (norm_a * norm_b))  # clamp rounding dust
 
 
-def structural_similarity(
-    original: ResourceGraph,
-    variant: ResourceGraph,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-) -> SimilarityScores:
-    """Weighted text/image/element completeness of the variant, each
-    component in [0, 1]."""
-    w_text, w_image, w_element = weights
-    if abs(w_text + w_image + w_element - 1.0) > 1e-9:
-        raise ValueError("similarity weights must sum to 1")
+def structural_similarity(original: ResourceGraph, variant: ResourceGraph) -> SimilarityScores:
+    """DEFAULT_WEIGHTS-weighted text/image/element completeness of the
+    variant, each component in [0, 1]."""
+    w_text, w_image, w_element = DEFAULT_WEIGHTS
     text_sim = multiset_jaccard(_text_tokens(original), _text_tokens(variant))
     image_sim = set_jaccard(_image_urls(original), _image_urls(variant))
     element_sim = histogram_cosine(original.tag_histogram, variant.tag_histogram)

@@ -30,6 +30,7 @@ from wasef.pagemodel import (
     KIND_IMAGE,
     KIND_SCRIPT_SYNC,
     KIND_STYLESHEET,
+    graph_to_dict,
     parse_page,
 )
 from wasef.replay import ShapingConfig, serve
@@ -381,6 +382,8 @@ def test_criterion_08_replicability(fixtures20, tmp_path):
             first == second == parallel, f"(digests {first[0][:12]}..)")
 
 
+FIVE_SOLUTIONS = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]
+
 # SHA-256 of the artifacts of a five-solution 3g/lowend run over the seeded
 # 200-page corpus that do not name the archive path. A refactor must leave
 # every one of them unchanged.
@@ -402,7 +405,7 @@ def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
                 "pages": fixtures200.corpus.pages,
                 "group_labels": fixtures200.corpus.group_labels,
             },
-            "solutions": ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"],
+            "solutions": FIVE_SOLUTIONS,
             "network": "3g",
             "device": "lowend",
         }
@@ -413,6 +416,23 @@ def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
         for name in PINNED_200_PAGE_DIGESTS
     }
     assert digests == PINNED_200_PAGE_DIGESTS
+
+
+# SHA-256 over graph_to_dict (JSON, sorted keys) of every seeded 200-page
+# original and each of its five variants, in corpus then solution order. It
+# pins every graph field that dict shows, the derived ones included:
+# render_blocking, total_visual_weight and zero_visual.
+PINNED_200_PAGE_GRAPH_DIGEST = "72e772bb100af777c84dc6fbbc58d83f4b1df777f5d91cc62c283fc19928f2f4"
+
+
+def test_200_page_graphs_are_pinned(fixtures200):
+    digest = hashlib.sha256()
+    for page_id in fixtures200.corpus.pages:
+        page = fixtures200.pages[page_id]
+        variants = [apply_transform(TransformSpec(name=name), page).page for name in FIVE_SOLUTIONS]
+        for graph in map(parse_page, [page, *variants]):
+            digest.update(json.dumps(graph_to_dict(graph), sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_200_PAGE_GRAPH_DIGEST
 
 
 def test_criterion_09_replay_shaping():

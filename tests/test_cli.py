@@ -110,6 +110,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="group_labels"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("label", [["x"], 3, None])
+    def test_inline_group_label_that_is_not_a_string_exits_2_with_one_line(self, tmp_path, capsys, label):
+        corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
+        raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
+        raw["corpus"]["group_labels"] = {corpus.pages[0]: label}
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corpus.group_labels:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("page_id", ["", ".", "..", "a/b", "a\\b", "a\x00b"])
     def test_inline_page_id_must_be_one_path_component(self, tmp_path, page_id):
         raw = self._raw(tmp_path, tmp_path / "out", [page_id])
@@ -252,6 +264,26 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.exit_code == 4
         assert result.records == []
+
+    def test_rerun_with_fewer_pages_keeps_only_its_own_variants(self, tmp_path):
+        corpus = make_fixtures(tmp_path / "archive", 2, seed=4)
+        raw = {
+            "archive_dir": str(tmp_path / "archive"),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "two", "pages": corpus.pages},
+            "solutions": ["identity", "js-strip"],
+        }
+        assert run_experiment(config_from_dict(raw)).exit_code == 0
+        raw["corpus"]["pages"] = corpus.pages[:1]
+        assert run_experiment(config_from_dict(raw)).exit_code == 0
+
+        variants = tmp_path / "out" / "variants"
+        manifests = sorted(variants.glob("*/manifest.json"))
+        rows = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert [path.parent.name for path in manifests] == [f"{r['page_id']}:{r['solution']}" for r in rows]
+        assert len(rows) == 2
+        named = {entry["body_sha256"] for path in manifests for entry in json.loads(path.read_text())["exchanges"]}
+        assert {blob.name for blob in (variants / "blobs").iterdir()} == named
 
 
 class TestCliSurface:
@@ -610,6 +642,19 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_rtt_without_bandwidth_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch):
+        corpus = make_fixtures(tmp_path, 1, seed=2)
+
+        def interrupt(seconds):  # a server that did start stops at once
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        code = main(["serve", "--archive", str(tmp_path), "--page", corpus.pages[0], "--rtt-ms", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: --rtt-ms:") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""  # no server started
 
 
 class TestPageIdArguments:

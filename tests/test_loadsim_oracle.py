@@ -14,7 +14,7 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wasef import loadsim, pagemodel
+from wasef import loadsim
 from wasef.loadsim import (
     NETWORK_PROFILES,
     DeviceProfile,
@@ -292,7 +292,6 @@ class RefSimulation:
         self.t = t_next
 
     def run(self) -> PageMetrics:
-        pagemodel.visual_weights(self.graph)  # idempotent; hand-built graphs arrive unweighted
         root = self.graph.root
         self.root_fetch = self._issue_fetch(root.url, root.bytes, root.missing)
         self._pump_hosts()

@@ -18,7 +18,6 @@ from wasef.pagemodel import (
     KIND_SCRIPT_SYNC,
     KIND_STYLESHEET,
     parse_page,
-    visual_weights,
 )
 from wasef.transform import TransformSpec, apply_transform
 
@@ -91,8 +90,8 @@ def test_visual_weights_arithmetic():
         assets=[("/a.png", "image/png", b"\x00" * 80000)],
     )
     graph = parse_page(page)
-    weights = visual_weights(graph)
-    assert sorted(weights.values()) == [5000.0, 80000.0]
+    weights = [res.visual_weight for res in graph.resources] + [block.weight for block in graph.text_blocks]
+    assert sorted(weights) == [0.0, 5000.0, 80000.0]
     assert graph.total_visual_weight == 85000.0
     assert graph.zero_visual is False
 
@@ -242,12 +241,13 @@ class TestInteractiveElements:
 
 
 class TestIndexCache:
-    """parse_page binds a cached HtmlIndex; no graph may share state with
-    another, and each binds its own page's sizes."""
+    """parse_page binds a cached HtmlIndex; graphs share only its immutable
+    text blocks and interactive elements, and each binds its own page's
+    sizes."""
 
     def test_mutating_one_graph_leaves_the_next_untouched(self):
         page = page_from_parts(
-            '<html><body><img src="a.png">some text<script>go()</script></body></html>',
+            '<html><body><img src="a.png">some text<a href="b.html">more</a><script>go()</script></body></html>',
             assets=[("/a.png", "image/png", b"\x00" * 300)],
         )
         first = parse_page(page)
@@ -255,7 +255,11 @@ class TestIndexCache:
         for res in first.resources:
             res.bytes, res.doc_offset, res.missing, res.inline_text = 1, 9.0, True, "x"
         for block in first.text_blocks:
-            block.text, block.char_count, block.doc_offset = "changed", 1, 9.0
+            with pytest.raises(AttributeError):
+                block.char_count = 1
+        for element in first.interactive_elements:
+            with pytest.raises(AttributeError):
+                element.identity_key = "changed"
         first.resources.append(first.resources[1])
         first.text_blocks.clear()
         first.interactive_elements.clear()

@@ -25,7 +25,6 @@ from wasef.pagemodel import (
     KIND_SCRIPT_INLINE,
     KIND_SCRIPT_SYNC,
     KIND_STYLESHEET,
-    RENDER_BLOCKING_KINDS,
     InteractiveElement,
     Resource,
     ResourceGraph,
@@ -34,7 +33,6 @@ from wasef.pagemodel import (
     _identity_key,
     graph_to_dict,
     parse_page,
-    visual_weights,
 )
 from wasef.similarity import score_graphs, structural_similarity
 from wasef.transform import (
@@ -111,7 +109,6 @@ class RefExtractor(HTMLParser):
                 kind=kind,
                 bytes=size,
                 discovery_index=self._next_index(),
-                render_blocking=kind in RENDER_BLOCKING_KINDS,
                 doc_offset=float(offset),
                 missing=missing,
             )
@@ -287,19 +284,20 @@ def ref_parse_page(page):
     resources = [root] + extractor.resources
     for res in resources[1:]:
         res.doc_offset = min(res.doc_offset * scale, float(html_bytes))
-    for block in extractor.text_blocks:
-        block.doc_offset = min(block.doc_offset * scale, float(html_bytes))
+    text_blocks = [
+        block._replace(doc_offset=min(block.doc_offset * scale, float(html_bytes)))
+        for block in extractor.text_blocks
+    ]
     graph = ResourceGraph(
         root=root,
         resources=resources,
-        text_blocks=extractor.text_blocks,
+        text_blocks=text_blocks,
         interactive_elements=extractor.interactive,
         tag_histogram=dict(extractor.tag_histogram),
     )
     graph.maybe_undercounted = _ref_scripts_look_injecting(page, graph)
     graph.script_texts = _ref_script_texts(page)
     graph.defined_names = _ref_defined_names(page, graph)
-    visual_weights(graph)
     return graph
 
 

@@ -67,12 +67,6 @@ def test_structural_weighted_sum_invariant():
     )
 
 
-def test_custom_weights_must_sum_to_one():
-    g1, g2 = graphs("<html><body>x</body></html>", "<html><body>x</body></html>")
-    with pytest.raises(ValueError):
-        structural_similarity(g1, g2, weights=(0.5, 0.5, 0.5))
-
-
 def test_component_symmetry():
     g1, g2 = graphs(
         '<html><body><p>a b c d</p><img src="x.png"><img src="y.png"></body></html>',
