@@ -104,7 +104,7 @@ def resolve_network(value, field: str = "network") -> NetworkProfile:
             return NetworkProfile(
                 bandwidth_bytes_per_sec=float(value["bandwidth_bytes_per_sec"]),
                 rtt_seconds=float(value["rtt_seconds"]),
-                max_connections_per_host=int(value.get("max_connections_per_host", 6)),
+                max_connections_per_host=value.get("max_connections_per_host", 6),
                 name=str(value.get("name", "custom")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -119,15 +119,21 @@ def resolve_device(value, field: str = "device") -> DeviceProfile:
             raise ConfigError(field, f"unknown device profile {value!r}")
         return profile
     if isinstance(value, dict):
+        coefficients = value.get("cost_coefficients", [1.0, 1e-6])
+        if not (
+            isinstance(coefficients, list)
+            and len(coefficients) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coefficients)
+        ):
+            raise ConfigError(f"{field}.cost_coefficients", "must be a list of two numbers")
         try:
-            coefficients = value.get("cost_coefficients", (1.0, 1e-6))
             return DeviceProfile(
                 js_exec_bytes_per_sec=float(value.get("js_exec_bytes_per_sec", 100000.0)),
                 html_parse_bytes_per_sec=float(value.get("html_parse_bytes_per_sec", 2000000.0)),
                 name=str(value.get("name", "custom")),
                 cost_coefficients=(float(coefficients[0]), float(coefficients[1])),
             )
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(field, f"bad inline device profile: {exc}") from None
     raise ConfigError(field, "must be a profile name or an inline object")
 
@@ -137,18 +143,20 @@ def _resolve_solutions(raw, field: str = "solutions") -> list[TransformSpec]:
         raise ConfigError(field, "must be a non-empty list")
     specs: list[TransformSpec] = []
     for index, item in enumerate(raw):
+        where = f"{field}[{index}]"
         if isinstance(item, str):
             specs.append(TransformSpec(name=item))
-        elif isinstance(item, dict) and item.get("name"):
-            specs.append(
-                TransformSpec(
-                    name=str(item["name"]),
-                    params={str(k): str(v) for k, v in (item.get("params") or {}).items()},
-                    version=str(item.get("version", "1")),
-                )
-            )
-        else:
-            raise ConfigError(f"{field}[{index}]", "must be a name or an object with a name")
+            continue
+        if not isinstance(item, dict) or "name" not in item:
+            raise ConfigError(where, "must be a name or an object with a name")
+        name, params, version = item["name"], item.get("params", {}), item.get("version", "1")
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"{where}.name", "must be a non-empty string")
+        if not isinstance(params, dict):
+            raise ConfigError(f"{where}.params", "must be an object")
+        if not isinstance(version, str):
+            raise ConfigError(f"{where}.version", "must be a string")
+        specs.append(TransformSpec(name=name, params={str(k): str(v) for k, v in params.items()}, version=version))
     if not any(spec.name == "identity" for spec in specs):
         specs.insert(0, TransformSpec(name="identity"))  # implied baseline
     check_solutions(specs, field)

@@ -15,22 +15,28 @@ Model, in full:
   scripts execute FIFO as their fetches land, whenever the thread is free;
   deferred scripts execute in document order after parsing completes.
 * Paint: a text block paints when the parser passes it and every
-  render-blocking resource discovered before it has completed; an image
-  additionally waits for its own fetch. Visual completeness at time t is
-  painted weight over total weight. Weights are the graph's derived ones:
-  an image weighs its byte size, a text block its character count times
-  pagemodel.TEXT_WEIGHT_PER_CHAR, and everything else nothing.
+  stylesheet discovered before it has been fetched; an image additionally
+  waits for its own fetch. A sync script gates every later paint as well,
+  yet needs no entry among the paint blockers: the parser reads no further
+  until the script has executed, so each paint it gates is created after
+  that. Visual completeness at time t is painted weight over total weight.
+  Weights are the graph's derived ones: an image weighs its byte size, a
+  text block its character count times pagemodel.TEXT_WEIGHT_PER_CHAR, and
+  everything else nothing.
 * Ties: simultaneous events process in (time, sequence) order with sequence
   numbers assigned at scheduling time, so runs are bit-identical.
 
-Duplicate URLs are fetched once; a missing resource costs one RTT and
-transfers zero bytes (a fast 404).
+Duplicate URLs are fetched once. A fetch's size is the resource's ``bytes``;
+``Resource.missing`` is never read. pagemodel.parse_page binds a resource
+absent from the archive with 0 bytes, so a missing resource costs one RTT and
+transfers nothing (a fast 404).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
@@ -60,6 +66,17 @@ class NetworkProfile:
     max_connections_per_host: int = 6
     name: str = ""
 
+    def __post_init__(self):
+        if not 0 < self.bandwidth_bytes_per_sec < math.inf:
+            raise ValueError(
+                f"bandwidth_bytes_per_sec must be positive and finite, got {self.bandwidth_bytes_per_sec}"
+            )
+        if not 0 <= self.rtt_seconds < math.inf:
+            raise ValueError(f"rtt_seconds must be non-negative and finite, got {self.rtt_seconds}")
+        connections = self.max_connections_per_host
+        if isinstance(connections, bool) or not isinstance(connections, int) or connections < 1:
+            raise ValueError(f"max_connections_per_host must be an integer >= 1, got {connections!r}")
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -67,6 +84,11 @@ class DeviceProfile:
     html_parse_bytes_per_sec: float = 2000000.0
     name: str = "lowend"
     cost_coefficients: tuple[float, float] = (1.0, 1e-6)  # (alpha_cpu, beta_bytes)
+
+    def __post_init__(self):
+        for name in ("js_exec_bytes_per_sec", "html_parse_bytes_per_sec"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 # 1.6 Mbps is 200000 bytes/sec.
@@ -111,15 +133,14 @@ def speed_index(paint_timeline: list[tuple[float, float]], fcp: float = 0.0) -> 
 
 
 class _Fetch:
-    __slots__ = ("url", "host", "size", "missing", "seq", "state", "remaining")
+    __slots__ = ("url", "host", "size", "seq", "done", "remaining")
 
-    def __init__(self, url: str, host: str, size: int, missing: bool, seq: int):
+    def __init__(self, url: str, host: str, size: int, seq: int):
         self.url = url
         self.host = host
         self.size = size
-        self.missing = missing
         self.seq = seq
-        self.state = "queued"
+        self.done = False
         self.remaining = float(size)
 
 
@@ -151,22 +172,19 @@ class _Simulation:
         self.items = items
         self.item_idx = 0
         self.parse_pos = 0.0
-        self.parse_active = False
-        self.parse_blocked = False
         self.parse_finished = False
 
         self.thread_busy = False
-        self.pending_inline: Resource | None = None
-        self.pending_sync: Resource | None = None
+        # The inline or sync script the parser waits on, and for a sync one
+        # its fetch (None for inline). The parser reads no further while one
+        # is set, so at most one is pending at a time.
+        self.blocking_script: Resource | None = None
         self.blocking_fetch: _Fetch | None = None
-        self.blocking_resource: Resource | None = None
-        self.async_waiting: dict[int, list[Resource]] = defaultdict(list)  # fetch seq -> tags
+        self.async_waiting: dict[_Fetch, list[Resource]] = defaultdict(list)
         self.async_ready: deque[Resource] = deque()
-        self.defer_order: list[Resource] = []
-        self.defer_idx = 0
+        self.defer_queue: deque[Resource] = deque()
 
-        self.blockers: list[tuple[str, object]] = []  # ("fetch", _Fetch) | ("exec", id(resource))
-        self.exec_done: set[int] = set()
+        self.blockers: list[_Fetch] = []  # render-blocking stylesheet fetches
         self.watermark = 0  # blockers[:watermark] are all satisfied
         self.paint_order = itertools.count()
         self.prefix_waits: deque[_PendingPaint] = deque()
@@ -190,12 +208,12 @@ class _Simulation:
     def _host_of(self, url: str) -> str:
         return urlsplit(url).netloc or "local"
 
-    def _issue_fetch(self, url: str, size: int, missing: bool) -> _Fetch:
-        fetch = self.fetches.get(url)
+    def _issue_fetch(self, res: Resource) -> _Fetch:
+        fetch = self.fetches.get(res.url)
         if fetch is not None:
             return fetch
-        fetch = _Fetch(url, self._host_of(url), size, missing, next(self.seq))
-        self.fetches[url] = fetch
+        fetch = _Fetch(res.url, self._host_of(res.url), res.bytes, next(self.seq))
+        self.fetches[res.url] = fetch
         self.host_queues[fetch.host].append(fetch)
         return fetch
 
@@ -203,21 +221,14 @@ class _Simulation:
         for host, queue in self.host_queues.items():
             while queue and self.host_active[host] < self.net.max_connections_per_host:
                 fetch = queue.popleft()
-                fetch.state = "latency"
                 self.host_active[host] += 1
                 self._schedule(self.t + self.net.rtt_seconds, "latency_done", fetch)
 
     def _complete_fetch(self, fetch: _Fetch) -> None:
-        fetch.state = "done"
+        fetch.done = True
         self._bump_plt(self.t)
         self.host_active[fetch.host] -= 1
-        if fetch is self.root_fetch:
-            self.parse_active = True
-        if self.blocking_fetch is fetch:
-            self.pending_sync = self.blocking_resource
-            self.blocking_fetch = None
-        for res in self.async_waiting.pop(fetch.seq, []):
-            self.async_ready.append(res)
+        self.async_ready += self.async_waiting.pop(fetch, ())
         self.ready += self.fetch_waits.pop(fetch, ())
 
     # -- main thread ------------------------------------------------------
@@ -225,23 +236,19 @@ class _Simulation:
     def _exec_duration(self, res: Resource) -> float:
         return res.bytes / self.dev.js_exec_bytes_per_sec
 
-    def _start_exec(self, res: Resource, role: str) -> None:
+    def _start_exec(self, res: Resource, blocking: bool) -> None:
         self.thread_busy = True
         dur = self._exec_duration(res)
-        self._schedule(self.t + dur, "task_done", ("exec", res, role, dur))
+        self._schedule(self.t + dur, "task_done", ("exec", res, blocking, dur))
 
     def _dispatch_thread(self) -> None:
         if self.thread_busy:
             return
-        if self.pending_inline is not None:
-            res, self.pending_inline = self.pending_inline, None
-            self._start_exec(res, "inline")
-            return
-        if self.pending_sync is not None:
-            res, self.pending_sync = self.pending_sync, None
-            self._start_exec(res, "sync")
-            return
-        if self.parse_active and not self.parse_blocked and not self.parse_finished:
+        if self.blocking_script is not None:
+            if self.blocking_fetch is None or self.blocking_fetch.done:
+                self._start_exec(self.blocking_script, True)
+                return
+        elif self.root_fetch.done and not self.parse_finished:
             if self.item_idx < len(self.items):
                 target = min(self.items[self.item_idx].doc_offset, float(self.graph.root.bytes))
             else:
@@ -250,16 +257,13 @@ class _Simulation:
             self.thread_busy = True
             self._schedule(self.t + dur, "task_done", ("parse", target))
             return
-        if self.parse_finished and self.defer_idx < len(self.defer_order):
-            res = self.defer_order[self.defer_idx]
-            fetch = self.fetches.get(res.url)
-            if fetch is not None and fetch.state == "done":
-                self.defer_idx += 1
-                self._start_exec(res, "defer")
+        if self.parse_finished and self.defer_queue:
+            if self.fetches[self.defer_queue[0].url].done:
+                self._start_exec(self.defer_queue.popleft(), False)
                 return
             # head-of-line defer waits for its fetch; async may fill the gap
         if self.async_ready:
-            self._start_exec(self.async_ready.popleft(), "async")
+            self._start_exec(self.async_ready.popleft(), False)
 
     def _parse_reached(self, target: float) -> None:
         self.parse_pos = target
@@ -275,31 +279,23 @@ class _Simulation:
             return
         kind = item.kind
         if kind == KIND_SCRIPT_INLINE:
-            self.parse_blocked = True
-            self.pending_inline = item
+            self.blocking_script = item
         elif kind == KIND_SCRIPT_SYNC:
-            fetch = self._issue_fetch(item.url, item.bytes, item.missing)
-            self.parse_blocked = True
-            self.blockers.append(("exec", id(item)))
-            if fetch.state == "done":
-                self.pending_sync = item
-            else:
-                self.blocking_fetch = fetch
-                self.blocking_resource = item
+            self.blocking_script = item
+            self.blocking_fetch = self._issue_fetch(item)
         elif kind == KIND_SCRIPT_ASYNC:
-            fetch = self._issue_fetch(item.url, item.bytes, item.missing)
-            if fetch.state == "done":
+            fetch = self._issue_fetch(item)
+            if fetch.done:
                 self.async_ready.append(item)
             else:
-                self.async_waiting[fetch.seq].append(item)
+                self.async_waiting[fetch].append(item)
         elif kind == KIND_SCRIPT_DEFER:
-            self._issue_fetch(item.url, item.bytes, item.missing)
-            self.defer_order.append(item)
+            self._issue_fetch(item)
+            self.defer_queue.append(item)
         elif kind == KIND_STYLESHEET:
-            fetch = self._issue_fetch(item.url, item.bytes, item.missing)
-            self.blockers.append(("fetch", fetch))
+            self.blockers.append(self._issue_fetch(item))
         else:  # image, iframe, other: plain fetches
-            fetch = self._issue_fetch(item.url, item.bytes, item.missing)
+            fetch = self._issue_fetch(item)
             if kind == KIND_IMAGE and item.visual_weight > 0:
                 self._add_paint(item.visual_weight, fetch)
 
@@ -308,28 +304,23 @@ class _Simulation:
         if payload[0] == "parse":
             self._parse_reached(payload[1])
             return
-        _, res, role, dur = payload
+        _, res, blocking, dur = payload
         self.js_total += dur
-        self.exec_done.add(id(res))
         self._bump_plt(self.t)
-        if role in ("inline", "sync"):
-            self.parse_blocked = False
+        if blocking:
+            self.blocking_script = self.blocking_fetch = None
 
     # -- paints -----------------------------------------------------------
-    # Blockers are only ever appended, and a satisfied blocker stays
-    # satisfied. So one watermark over the leading satisfied blockers decides
-    # every paint's prefix, and paints, made in discovery order, wait on
-    # prefixes that never shrink: they leave a FIFO from its head. An image
-    # whose prefix is met waits on its own fetch in ``fetch_waits``.
+    # Blockers are the stylesheet fetches alone; a sync script needs none, as
+    # the module docstring says. Blockers are only ever appended, and a
+    # satisfied blocker stays satisfied. So one watermark over the leading
+    # satisfied blockers decides every paint's prefix, and paints, made in
+    # discovery order, wait on prefixes that never shrink: they leave a FIFO
+    # from its head. An image whose prefix is met waits on its own fetch in
+    # ``fetch_waits``.
 
     def _add_paint(self, weight: float, fetch: _Fetch | None) -> None:
         self.prefix_waits.append(_PendingPaint(next(self.paint_order), len(self.blockers), weight, fetch))
-
-    def _blocker_satisfied(self, blocker) -> bool:
-        kind, obj = blocker
-        if kind == "fetch":
-            return obj.state == "done"
-        return obj in self.exec_done
 
     def _check_paints(self) -> None:
         waits = self.prefix_waits
@@ -337,13 +328,13 @@ class _Simulation:
             return
         blockers = self.blockers
         mark = self.watermark
-        while mark < len(blockers) and self._blocker_satisfied(blockers[mark]):
+        while mark < len(blockers) and blockers[mark].done:
             mark += 1
         self.watermark = mark
         released, self.ready = self.ready, []
         while waits and waits[0].prefix <= mark:
             paint = waits.popleft()
-            if paint.fetch is None or paint.fetch.state == "done":
+            if paint.fetch is None or paint.fetch.done:
                 released.append(paint)
             else:
                 self.fetch_waits[paint.fetch].append(paint)
@@ -375,7 +366,7 @@ class _Simulation:
 
     def run(self) -> PageMetrics:
         root = self.graph.root
-        self.root_fetch = self._issue_fetch(root.url, root.bytes, root.missing)
+        self.root_fetch = self._issue_fetch(root)
         self._pump_hosts()
         self._dispatch_thread()
 
@@ -401,7 +392,6 @@ class _Simulation:
                     if fetch.size <= 0:
                         self._complete_fetch(fetch)
                     else:
-                        fetch.state = "transfer"
                         self.transfers[fetch] = None
                 elif kind == "transfer_done":
                     self._complete_fetch(payload)

@@ -184,6 +184,46 @@ class TestConfig:
         assert config.network.bandwidth_bytes_per_sec == 1e6
         assert config.device.js_exec_bytes_per_sec == 5e5
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("network", {"bandwidth_bytes_per_sec": -100, "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": "nan", "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 0, "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": -0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": 0.1, "max_connections_per_host": 0},
+             "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": 0.1, "max_connections_per_host": 2.7},
+             "network"),
+            ("device", {"js_exec_bytes_per_sec": 0}, "device"),
+            ("device", {"html_parse_bytes_per_sec": -1}, "device"),
+            ("device", {"cost_coefficients": {"a": 1}}, "device.cost_coefficients"),
+            ("device", {"cost_coefficients": [1.0]}, "device.cost_coefficients"),
+            ("solutions", [{"name": "identity", "params": [1]}], "solutions[0].params"),
+            ("solutions", [{"name": ["x"]}], "solutions[0].name"),
+            ("solutions", ["identity", {"name": "js-strip", "version": 2}], "solutions[1].version"),
+        ],
+    )
+    def test_malformed_inline_value_names_its_field(self, tmp_path, key, value, field):
+        corpus = make_fixtures(tmp_path, 1, seed=1)
+        raw = self._raw(tmp_path, tmp_path / "out", corpus.pages)
+        raw[key] = value
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("bandwidth", [-100, "nan"])
+    def test_bad_inline_bandwidth_exits_2_with_one_line(self, tmp_path, capsys, bandwidth):
+        corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
+        raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
+        raw["network"] = {"bandwidth_bytes_per_sec": bandwidth, "rtt_seconds": 0.1}
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: network:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_corpus_by_name(self, tmp_path):
         make_fixtures(tmp_path, 2, seed=1, corpus_name="fixtures")
         raw = {

@@ -431,8 +431,38 @@ SAME_BATCH_IMAGES = (
     set(), NetworkProfile(200_000.0, 0.4, 6), DeviceProfile(),
 )
 
+# A sync script whose URL an image fetched long before: its fetch is done
+# when the parser reaches it, so it executes at once.
+SYNC_AFTER_FETCHED = (
+    100_000,
+    [(KIND_IMAGE, 2000, 0.0, "http://h.test/r0"), ("text", 50, 1000.0),
+     (KIND_SCRIPT_SYNC, 2000, 50_000.0, "http://h.test/r0"), ("text", 80, 60_000.0)],
+    set(), NetworkProfile(12_500_000.0, 0.0, 6), DeviceProfile(),
+)
+
+# The sync script has executed long before the stylesheet lands, so the text
+# after both waits on the stylesheet alone.
+SYNC_WHILE_STYLESHEET_IN_FLIGHT = (
+    2000,
+    [(KIND_STYLESHEET, 200_000, 0.0, "http://h.test/r0"), (KIND_SCRIPT_SYNC, 2000, 500.0, "http://cdn.test/r1"),
+     ("text", 100, 1000.0)],
+    set(), NetworkProfile(200_000.0, 0.4, 6), DeviceProfile(),
+)
+
+# Parsing ends before either script lands; the async one lands first and
+# runs while the deferred one, at the head of its queue, still transfers.
+DEFER_LANDS_AFTER_PARSE = (
+    1000,
+    [(KIND_SCRIPT_DEFER, 200_000, 0.0, "http://h.test/r0"), (KIND_SCRIPT_ASYNC, 2000, 0.0, "http://cdn.test/r1"),
+     ("text", 100, 500.0)],
+    set(), NetworkProfile(200_000.0, 0.4, 6), DeviceProfile(),
+)
+
 @settings(max_examples=300, deadline=None)
 @example(SAME_BATCH_IMAGES)
+@example(SYNC_AFTER_FETCHED)
+@example(SYNC_WHILE_STYLESHEET_IN_FLIGHT)
+@example(DEFER_LANDS_AFTER_PARSE)
 @given(page_specs())
 def test_simulator_equals_reference(spec):
     net, dev = spec[3], spec[4]
