@@ -93,6 +93,20 @@ class ExperimentConfig:
         }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _profile_number(profile: dict, key: str, field: str, default: float | None = None) -> float:
+    """``profile[key]`` as a float. A bool, a string or any other
+    non-number is a ConfigError on ``field`` that names the key; a missing
+    key without a default raises KeyError."""
+    value = profile[key] if default is None else profile.get(key, default)
+    if not _number(value):
+        raise ConfigError(field, f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def resolve_network(value, field: str = "network") -> NetworkProfile:
     if isinstance(value, str):
         profile = NETWORK_PROFILES.get(value)
@@ -102,8 +116,8 @@ def resolve_network(value, field: str = "network") -> NetworkProfile:
     if isinstance(value, dict):
         try:
             return NetworkProfile(
-                bandwidth_bytes_per_sec=float(value["bandwidth_bytes_per_sec"]),
-                rtt_seconds=float(value["rtt_seconds"]),
+                bandwidth_bytes_per_sec=_profile_number(value, "bandwidth_bytes_per_sec", field),
+                rtt_seconds=_profile_number(value, "rtt_seconds", field),
                 max_connections_per_host=value.get("max_connections_per_host", 6),
                 name=str(value.get("name", "custom")),
             )
@@ -123,13 +137,13 @@ def resolve_device(value, field: str = "device") -> DeviceProfile:
         if not (
             isinstance(coefficients, list)
             and len(coefficients) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coefficients)
+            and all(map(_number, coefficients))
         ):
             raise ConfigError(f"{field}.cost_coefficients", "must be a list of two numbers")
         try:
             return DeviceProfile(
-                js_exec_bytes_per_sec=float(value.get("js_exec_bytes_per_sec", 100000.0)),
-                html_parse_bytes_per_sec=float(value.get("html_parse_bytes_per_sec", 2000000.0)),
+                js_exec_bytes_per_sec=_profile_number(value, "js_exec_bytes_per_sec", field, 100000.0),
+                html_parse_bytes_per_sec=_profile_number(value, "html_parse_bytes_per_sec", field, 2000000.0),
                 name=str(value.get("name", "custom")),
                 cost_coefficients=(float(coefficients[0]), float(coefficients[1])),
             )
@@ -154,6 +168,9 @@ def _resolve_solutions(raw, field: str = "solutions") -> list[TransformSpec]:
             raise ConfigError(f"{where}.name", "must be a non-empty string")
         if not isinstance(params, dict):
             raise ConfigError(f"{where}.params", "must be an object")
+        for key, param in params.items():
+            if not (isinstance(param, str) or _number(param)):
+                raise ConfigError(f"{where}.params", f"{key} must be a string or a number, got {param!r}")
         if not isinstance(version, str):
             raise ConfigError(f"{where}.version", "must be a string")
         specs.append(TransformSpec(name=name, params={str(k): str(v) for k, v in params.items()}, version=version))
@@ -379,10 +396,6 @@ def transform_pages(spec: TransformSpec, page_ids, archive_dir, out_dir):
         variant = apply_transform(spec, load_page(page_id, archive_dir))
         store_page(variant.page, out_dir)
         yield variant
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _pairs(value) -> bool:

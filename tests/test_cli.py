@@ -195,11 +195,22 @@ class TestConfig:
              "network"),
             ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": 0.1, "max_connections_per_host": 2.7},
              "network"),
+            ("network", {"bandwidth_bytes_per_sec": True, "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": "1e6", "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": "0.1"}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": False}, "network"),
             ("device", {"js_exec_bytes_per_sec": 0}, "device"),
+            ("device", {"js_exec_bytes_per_sec": True}, "device"),
+            ("device", {"html_parse_bytes_per_sec": "2e6"}, "device"),
             ("device", {"html_parse_bytes_per_sec": -1}, "device"),
             ("device", {"cost_coefficients": {"a": 1}}, "device.cost_coefficients"),
             ("device", {"cost_coefficients": [1.0]}, "device.cost_coefficients"),
             ("solutions", [{"name": "identity", "params": [1]}], "solutions[0].params"),
+            ("solutions", [{"name": "img-downscale", "params": {"quality": [0.2]}}], "solutions[0].params"),
+            ("solutions", ["identity", {"name": "img-downscale", "params": {"quality": {"q": 0.2}}}],
+             "solutions[1].params"),
+            ("solutions", [{"name": "img-downscale", "params": {"quality": None}}], "solutions[0].params"),
+            ("solutions", [{"name": "img-downscale", "params": {"quality": True}}], "solutions[0].params"),
             ("solutions", [{"name": ["x"]}], "solutions[0].name"),
             ("solutions", ["identity", {"name": "js-strip", "version": 2}], "solutions[1].version"),
         ],
@@ -212,7 +223,7 @@ class TestConfig:
             config_from_dict(raw)
         assert info.value.field == field
 
-    @pytest.mark.parametrize("bandwidth", [-100, "nan"])
+    @pytest.mark.parametrize("bandwidth", [-100, "nan", True, "1e6"])
     def test_bad_inline_bandwidth_exits_2_with_one_line(self, tmp_path, capsys, bandwidth):
         corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
         raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
@@ -222,7 +233,27 @@ class TestConfig:
         assert main(["run", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: network:") and len(err.splitlines()) == 1
+        assert "bandwidth_bytes_per_sec" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("quality", [[0.2], {"q": 0.2}, None])
+    def test_non_scalar_param_exits_2_before_any_pair(self, tmp_path, capsys, quality):
+        corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
+        raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
+        raw["solutions"] = [{"name": "img-downscale", "params": {"quality": quality}}]
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solutions[0].params: quality") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_scalar_params_are_kept_as_text(self, tmp_path):
+        corpus = make_fixtures(tmp_path, 1, seed=1)
+        raw = self._raw(tmp_path, tmp_path / "out", corpus.pages)
+        raw["solutions"] = [{"name": "img-downscale", "params": {"quality": 0.25, "note": "x", "n": 3}}]
+        [_, spec] = config_from_dict(raw).solutions
+        assert spec.params == {"quality": "0.25", "note": "x", "n": "3"}
 
     def test_corpus_by_name(self, tmp_path):
         make_fixtures(tmp_path, 2, seed=1, corpus_name="fixtures")

@@ -1,3 +1,5 @@
+import collections
+import email.utils
 import hashlib
 import http.client
 import json
@@ -25,6 +27,48 @@ def _get(server, path, host_header=None, method="GET"):
     header_items = response.getheaders()
     conn.close()
     return status, header_items, body
+
+
+Response = collections.namedtuple("Response", "status reason headers body")
+
+
+def _request(target="/a.css", method="GET", version="HTTP/1.1", headers=(("Host", "site.test"),), body=b""):
+    lines = [f"{method} {target} {version}", *(f"{name}: {value}" for name, value in headers)]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _read_response(reader, head_only=False):
+    """The next response on a raw connection's reader; None at end of
+    stream."""
+    status_line = reader.readline()
+    if not status_line:
+        return None
+    version, status, reason = status_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
+    assert version == "HTTP/1.1"
+    headers = []
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers.append((name, value.strip()))
+    length = int(dict(headers).get("Content-Length", "0"))
+    return Response(int(status), reason, headers, b"" if head_only else reader.read(length))
+
+
+def _raw_exchange(server, data, responses, head_only=False):
+    """Send ``data`` in one write, read ``responses`` responses, then
+    report whether the server closed the connection (reading past the
+    responses hits end of stream within a short wait)."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        with sock.makefile("rb") as reader:
+            answered = [_read_response(reader, head_only) for _ in range(responses)]
+            sock.settimeout(0.2)
+            try:
+                closed = reader.read(1) == b""
+            except ConnectionResetError:
+                closed = True
+            except TimeoutError:
+                closed = False
+    return answered, closed
 
 
 @pytest.fixture()
@@ -114,6 +158,164 @@ class TestKeepAlive:
             elapsed = time.perf_counter() - started
             conn.close()
         assert elapsed < 0.3
+
+
+class TestProtocol:
+    """HTTP/1.1 framing, checked on raw connections."""
+
+    def test_response_head_fields_in_order(self):
+        page = page_from_parts("<html><body>x</body></html>")
+        page.root_exchange().headers = [
+            ("Content-Type", "text/html"),
+            ("Transfer-Encoding", "chunked"),
+            ("X-Custom", "kept"),
+        ]
+        with serve(page) as server:
+            [response], closed = _raw_exchange(server, _request("/index.html"), 1)
+        assert (response.status, response.reason) == (200, "OK")
+        assert [name for name, _ in response.headers] == [
+            "Server", "Date", "Content-Type", "X-Custom", "Content-Length",
+        ]
+        fields = dict(response.headers)
+        assert "Python/" in fields["Server"]
+        assert email.utils.parsedate_to_datetime(fields["Date"]).tzname() == "UTC"
+        assert response.body == b"<html><body>x</body></html>" and not closed
+
+    def test_head_on_a_miss_sends_the_head_only(self, plain_page):
+        # Had the 404 carried its body, the second status line would not parse.
+        data = _request("/ghost", method="HEAD") + _request("/a.css", method="HEAD")
+        with serve(plain_page) as server:
+            [miss, hit], _ = _raw_exchange(server, data, 2, head_only=True)
+            assert server.miss_log() == ["http://site.test/ghost"]
+        assert miss.status == 404
+        assert dict(miss.headers)["Content-Length"] == str(len(json.dumps({"miss": "http://site.test/ghost"})))
+        assert (hit.status, dict(hit.headers)["Content-Length"]) == (200, "18")
+
+    def test_first_host_field_names_the_host(self, plain_page):
+        headers = [("Host", "First.test "), ("Host", "second.test")]
+        with serve(plain_page) as server:
+            [response], _ = _raw_exchange(server, _request("/ghost", headers=headers), 1)
+            assert server.miss_log() == ["http://first.test/ghost"]
+        assert response.status == 404
+
+    @pytest.mark.parametrize(
+        "version, connection, closes",
+        [
+            ("HTTP/1.1", None, False),
+            ("HTTP/1.1", "close", True),
+            ("HTTP/1.0", None, True),
+            ("HTTP/1.0", "keep-alive", False),
+        ],
+    )
+    def test_connection_persistence(self, plain_page, version, connection, closes):
+        headers = [("Host", "site.test")] + ([("Connection", connection)] if connection else [])
+        with serve(plain_page) as server:
+            [response], closed = _raw_exchange(server, _request(version=version, headers=headers), 1)
+        assert (response.status, response.body) == (200, b"body { margin: 0 }")
+        assert closed == closes
+
+    def test_expect_100_continue_gets_an_interim_response(self, plain_page):
+        headers = [("Host", "site.test"), ("Expect", "100-continue"), ("Content-Length", "0")]
+        with serve(plain_page) as server:
+            [interim, final], closed = _raw_exchange(server, _request(method="POST", headers=headers), 2)
+        assert (interim.status, interim.headers) == (100, [])
+        assert final.status == 404 and not closed  # only GET /a.css is archived
+
+    @pytest.mark.parametrize(
+        "data, status, closes",
+        [
+            # "GET /" + target + " HTTP/1.1\r\n" is 16 bytes plus the target.
+            pytest.param(_request("/" + "a" * 65521), 414, True, id="request-line-of-65537-bytes"),
+            pytest.param(_request("/" + "a" * 65520), 404, False, id="request-line-of-65536-bytes"),
+            # "X: " + value + "\r\n" is 5 bytes plus the value.
+            pytest.param(_request(headers=[("Host", "site.test"), ("X", "a" * 65532)]), 431, True,
+                         id="header-line-of-65537-bytes"),
+            pytest.param(_request(headers=[("Host", "site.test"), ("X", "a" * 65531)]), 200, False,
+                         id="header-line-of-65536-bytes"),
+            pytest.param(_request(headers=[("Host", "site.test")] + [(f"X-{i}", "y") for i in range(99)]), 431,
+                         True, id="100-header-fields"),
+            pytest.param(_request(headers=[("Host", "site.test")] + [(f"X-{i}", "y") for i in range(98)]), 200,
+                         False, id="99-header-fields"),
+        ],
+    )
+    def test_request_size_limits(self, plain_page, data, status, closes):
+        with serve(plain_page) as server:
+            [response], closed = _raw_exchange(server, data, 1)
+        assert response.status == status and closed == closes
+
+    def test_pipelined_requests_are_answered_in_order(self, plain_page):
+        data = _request("/a.css") + _request("/ghost") + _request("/index.html") + _request("/img/p.png")
+        with serve(plain_page) as server:
+            responses, closed = _raw_exchange(server, data, 4)
+        assert [(r.status, r.body) for r in responses] == [
+            (200, b"body { margin: 0 }"),
+            (404, b'{"miss": "http://site.test/ghost"}'),
+            (200, b"<html><body>archived root</body></html>"),
+            (200, bytes(range(256)) * 4),
+        ]
+        assert not closed
+
+    @pytest.mark.parametrize("expect", [False, True])
+    def test_request_body_is_read_before_the_next_request(self, plain_page, expect):
+        headers = [("Host", "site.test"), ("Content-Length", "11")] + ([("Expect", "100-continue")] if expect else [])
+        data = _request(method="POST", headers=headers, body=b"hello=world") + _request()
+        with serve(plain_page) as server:
+            responses, closed = _raw_exchange(server, data, 3 if expect else 2)
+            assert server.miss_log() == ["http://site.test/a.css"]
+        assert [(r.status, r.body) for r in responses[-2:]] == [
+            (404, b'{"miss": "http://site.test/a.css"}'),
+            (200, b"body { margin: 0 }"),
+        ]
+        assert not closed
+
+    def test_transfer_encoding_is_answered_then_closed(self, plain_page):
+        headers = [("Host", "site.test"), ("Transfer-Encoding", "chunked")]
+        data = _request(method="POST", headers=headers, body=b"5\r\nhello\r\n0\r\n\r\n")
+        with serve(plain_page) as server:
+            [response], closed = _raw_exchange(server, data, 1)
+        assert response.status == 404 and closed
+
+    @pytest.mark.parametrize("lengths", [["abc"], ["-1"], ["+3"], ["3", "4"]])
+    def test_invalid_content_length_is_a_400_then_close(self, plain_page, lengths):
+        headers = [("Host", "site.test")] + [("Content-Length", length) for length in lengths]
+        with serve(plain_page) as server:
+            [response], closed = _raw_exchange(server, _request(headers=headers, body=b"abc"), 1)
+        assert response.status == 400 and closed
+
+    def test_absolute_form_target_names_the_host(self):
+        page = page_from_parts(
+            "<html><body>x</body></html>",
+            assets=[("/a.css", "text/css", b"site"), ("http://cdn.test/a.css", "text/css", b"cdn")],
+        )
+        data = _request("http://cdn.test/a.css") + _request("http://cdn.test/ghost?q=1")
+        with serve(page) as server:
+            [hit, miss], _ = _raw_exchange(server, data, 2)
+            assert server.miss_log() == ["http://cdn.test/ghost?q=1"]
+        assert (hit.status, hit.body) == (200, b"cdn") and miss.status == 404
+
+    @pytest.mark.parametrize(
+        "request_line, status",
+        [
+            (b"GARBAGE", 400),
+            (b"GET /a.css", 400),  # HTTP/0.9
+            (b"GET /a.css HTTP/x.y", 400),
+            (b"GET /a b.css HTTP/1.1", 400),
+            (b"GET /a.css HTTP/2.0", 505),
+            (b"PUT /a.css HTTP/1.1", 501),
+        ],
+    )
+    def test_bad_request_line_gets_an_error_then_close(self, plain_page, request_line, status):
+        with serve(plain_page) as server:
+            [response], closed = _raw_exchange(server, request_line + b"\r\nHost: site.test\r\n\r\n", 1)
+        assert response.status == status and closed
+
+    def test_header_value_outside_latin1_goes_out_as_utf8(self):
+        page = page_from_parts("<html><body>x</body></html>")
+        page.root_exchange().headers = [("Content-Type", "text/html"), ("X-Title", "naïve ☃")]
+        with serve(page) as server:
+            [response], _ = _raw_exchange(server, _request("/index.html"), 1)
+        assert response.status == 200
+        assert dict(response.headers)["X-Title"].encode("latin-1").decode("utf-8") == "naïve ☃"
 
 
 class TestMissLog:
