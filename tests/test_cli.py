@@ -195,24 +195,24 @@ class TestConfig:
              "network"),
             ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": 0.1, "max_connections_per_host": 2.7},
              "network"),
-            ("network", {"bandwidth_bytes_per_sec": True, "rtt_seconds": 0.1}, "network"),
-            ("network", {"bandwidth_bytes_per_sec": "1e6", "rtt_seconds": 0.1}, "network"),
-            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": "0.1"}, "network"),
-            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": False}, "network"),
             ("device", {"js_exec_bytes_per_sec": 0}, "device"),
-            ("device", {"js_exec_bytes_per_sec": True}, "device"),
-            ("device", {"html_parse_bytes_per_sec": "2e6"}, "device"),
             ("device", {"html_parse_bytes_per_sec": -1}, "device"),
             ("device", {"cost_coefficients": {"a": 1}}, "device.cost_coefficients"),
             ("device", {"cost_coefficients": [1.0]}, "device.cost_coefficients"),
             ("solutions", [{"name": "identity", "params": [1]}], "solutions[0].params"),
+            ("solutions", [{"name": ["x"]}], "solutions[0].name"),
+            ("solutions", ["identity", {"name": "js-strip", "version": 2}], "solutions[1].version"),
+            ("network", {"bandwidth_bytes_per_sec": True, "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": "1e6", "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": "0.1"}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": False}, "network"),
+            ("device", {"js_exec_bytes_per_sec": True}, "device"),
+            ("device", {"html_parse_bytes_per_sec": "2e6"}, "device"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": [0.2]}}], "solutions[0].params"),
             ("solutions", ["identity", {"name": "img-downscale", "params": {"quality": {"q": 0.2}}}],
              "solutions[1].params"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": None}}], "solutions[0].params"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": True}}], "solutions[0].params"),
-            ("solutions", [{"name": ["x"]}], "solutions[0].name"),
-            ("solutions", ["identity", {"name": "js-strip", "version": 2}], "solutions[1].version"),
         ],
     )
     def test_malformed_inline_value_names_its_field(self, tmp_path, key, value, field):
