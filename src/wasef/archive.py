@@ -63,6 +63,7 @@ _BLOB_REF = f"../{BLOBS_DIR}/"  # a manifest's body_file is this plus the digest
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
 _OLD_BODY_FILE_RE = re.compile(r"bodies/[0-9]+\.bin")  # the per-page layout blobs replaced
 _NOT_IN_PAGE_ID_RE = re.compile(r"[/\\\x00]")
+_LINE_BREAK_RE = re.compile(r"[\r\n\x00]")  # would end or cut a replayed header line
 
 
 @dataclass
@@ -256,8 +257,11 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
         headers = []
         for header in _har_shape(response.get("headers", []), list, "response.headers", index):
             header = _har_shape(header, dict, "response.headers[]", index)
-            headers.append((_har_shape(header.get("name", ""), str, "header name", index),
-                            _har_shape(header.get("value", ""), str, "header value", index)))
+            name = _har_shape(header.get("name", ""), str, "header name", index)
+            value = _har_shape(header.get("value", ""), str, "header value", index)
+            if not _is_header_line(name, value):
+                raise BodyDecodeError(index, f"header {name!r} has an empty name or holds CR, LF or NUL")
+            headers.append((name, value))
         body = _decode_har_body(
             _har_shape(response.get("content", {}) or {}, dict, "response.content", index), index
         )
@@ -296,6 +300,12 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
         recorded_at=recorded_at or "1970-01-01T00:00:00Z",
         source="har_import",
     )
+
+
+def _is_header_line(name: str, value: str) -> bool:
+    """Whether an archived header goes out as exactly one header line: its
+    name is not empty, and neither name nor value holds CR, LF or NUL."""
+    return bool(name) and not _LINE_BREAK_RE.search(name) and not _LINE_BREAK_RE.search(value)
 
 
 def page_id_problem(page_id) -> str | None:
@@ -421,6 +431,7 @@ def _is_count(value) -> bool:
 def _is_headers(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)
+        and _is_header_line(*pair)
         for pair in value
     )
 
@@ -437,7 +448,7 @@ _ENTRY_FIELDS = {
     "method": (_is_str, "a string"),
     "url": (_is_str, "a string"),
     "status": (lambda value: type(value) is int, "an integer"),
-    "headers": (_is_headers, "a list of [name, value] string pairs"),
+    "headers": (_is_headers, "a list of [name, value] string pairs with a name and no CR, LF or NUL"),
     "content_type": (_is_str, "a string"),
     "body_file": (_is_str, "a string"),
     "body_sha256": (lambda value: isinstance(value, str) and _SHA256_RE.fullmatch(value) is not None,

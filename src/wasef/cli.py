@@ -3,8 +3,8 @@
 Subcommands: import-har, inspect, transform, serve, evaluate, similarity,
 report, run, fixtures. The WASEF_ARCHIVE environment variable supplies a
 default for --archive. run, evaluate and report are thin wrappers over the
-one pipeline in ``experiment``: evaluate is run without files (results.json
-aside), and report builds run's report bundle from the files they write.
+one pipeline in ``experiment``: run does every stage, evaluate stops after
+simulating and writes results.json alone, and report bundles run's files.
 Exit codes: 0 success, 2 configuration error or unreadable input, 3 partial
 failure (a page or pair skipped), 4 total failure.
 """
@@ -80,7 +80,9 @@ def cmd_transform(args) -> int:
         raise ConfigError("solution", "--solution is required")
     page_ids = _corpus(args, archive).pages
     spec = TransformSpec(name=args.solution, params=_parse_params(args.param))
-    for variant in experiment.transform_pages(spec, page_ids, archive, args.out or archive):
+    for page_id in page_ids:
+        variant = apply_transform(spec, load_page(page_id, archive))
+        store_page(variant.page, args.out or archive)
         print(f"{variant.page.page_id} bytes_removed={variant.provenance['bytes_removed']}")
     return 0
 
@@ -129,10 +131,10 @@ def cmd_evaluate(args) -> int:
         network=experiment.resolve_network(args.network),
         device=experiment.resolve_device(args.device),
     )
-    result = experiment.run_experiment(config, write_files=False)
-    experiment.write_results(result.records, args.out)
-    print(f"{len(result.records)} records written to {args.out}")
-    return result.exit_code
+    records, exit_code = experiment.evaluate(config)
+    experiment.write_results(records, args.out)
+    print(f"{len(records)} records written to {args.out}")
+    return exit_code
 
 
 def cmd_similarity(args) -> int:
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtt-ms", dest="rtt_ms", type=float, default=0.0)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("evaluate", help="run without files: write results.json only; skips exit 3")
+    p = sub.add_parser("evaluate", help="stop after simulating: write results.json alone; skips exit 3")
     p.add_argument("--archive")
     p.add_argument("--page")
     p.add_argument("--corpus")

@@ -2,9 +2,11 @@
 every variant under one network/device pair, score similarity against the
 original, then build delta statistics into a report bundle.
 
-``wasef run`` is run_experiment writing every file; ``wasef evaluate`` is
-run_experiment writing none, then write_results; ``wasef report`` reads the
-files back (read_results, read_similarity) and calls build_bundle.
+One pair loop (_evaluated_pairs) loads, size-filters and parses each page,
+then per solution transforms, stores (run only), parses and simulates the
+variant. ``wasef run`` (run_experiment) also scores each pair, bundles and
+writes every file; ``wasef evaluate`` (evaluate) keeps the metrics alone;
+``wasef report`` bundles the files run wrote (read_results, read_similarity).
 
 (config, archive) fully determines every output byte. Failures are skips,
 each logged at WARNING where it is recorded: a page that fails to load or
@@ -16,10 +18,7 @@ variant record has no deltas and joins the skip report in build_bundle.
 
 Pages are streamed, one at a time under every solution, so the HTML
 (pagemodel.html_index) and script (jsscan.index) caches need hold only one
-page; the HTML cache is cleared when a run starts. Evaluation is serial and
-``parallelism`` changes nothing: two threads took 3.45 s against 1.87 s
-serially for 200 pages and five solutions on a 2-vCPU host, since the work
-is Python computation that holds the interpreter lock.
+page; the HTML cache is cleared when a run starts.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import archive, pagemodel, report, similarity, stats
-from .archive import ArchivedPage, Corpus, load_corpus, load_page, page_id_problem, store_page
+from .archive import Corpus, load_corpus, load_page, page_id_problem, store_page
 from .errors import ConfigError, StorageError, WasefError
 from .loadsim import (
     DEVICE_PROFILES,
@@ -57,14 +56,12 @@ class ExperimentConfig:
     solutions: list[TransformSpec]
     network: NetworkProfile
     device: DeviceProfile
-    parallelism: int = 1  # validated; evaluation is serial whatever its value
     seed: int = 0
     min_page_bytes: int = 0  # corpus size-filter floor; 0 disables
 
     def snapshot(self) -> dict:
-        """The result-determining configuration. Execution details
-        (out_dir, parallelism) are excluded: they cannot change any output
-        byte."""
+        """The result-determining configuration. out_dir is excluded: it
+        cannot change any output byte."""
         return {
             "archive_dir": str(self.archive_dir),
             "corpus": {
@@ -238,9 +235,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("corpus", "must be a corpus name or an inline object")
     check_corpus(corpus, archive_dir)
 
-    parallelism = raw.get("parallelism", 1)
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise ConfigError("parallelism", "must be a positive integer")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
@@ -255,7 +249,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         solutions=_resolve_solutions(raw["solutions"]),
         network=resolve_network(raw.get("network", "3g")),
         device=resolve_device(raw.get("device", "lowend")),
-        parallelism=parallelism,
         seed=seed,
         min_page_bytes=min_page_bytes,
     )
@@ -282,66 +275,77 @@ class ExperimentResult:
     paths: dict[str, Path]
 
 
-def _evaluate_pair(
-    page: ArchivedPage,
-    original_graph,
-    spec: TransformSpec,
-    config: ExperimentConfig,
-    variants_dir: Path | None,
-):
-    variant = apply_transform(spec, page)
-    if variants_dir is not None:
-        store_page(variant.page, variants_dir)
-    variant_graph = pagemodel.parse_page(variant.page)
-    metrics = simulate_load(variant_graph, config.network, config.device)
-    return metrics, similarity.score_graphs(original_graph, variant_graph)
+class _Skips(list):
+    """A run's (page_id, solution, reason) skips, each logged as it is added."""
+
+    below_floor = 0  # size-floor skips: configuration, not failures
+
+    def add(self, page_id: str, solution: str, reason) -> None:
+        log.warning("skipped (%s, %s): %s", page_id, solution, reason)
+        self.append((page_id, solution, str(reason)))
+
+    def exit_code(self, evaluated: int) -> int:
+        """4 when nothing was evaluated, 3 when a page or pair failed, else 0."""
+        if not evaluated:
+            return 4
+        return 3 if len(self) > self.below_floor else 0
 
 
-def _skip(skips: list, page_id: str, solution: str, reason) -> None:
-    log.warning("skipped (%s, %s): %s", page_id, solution, reason)
-    skips.append((page_id, solution, str(reason)))
-
-
-def run_experiment(config: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
-    """Run the pipeline; with write_files, write results.json,
-    similarity.json, the report and every variant under out_dir. The
-    variants root, out_dir/variants, is emptied first, so it holds this
-    run's variants only."""
-    out_dir = Path(config.out_dir)
-    variants_dir = out_dir / "variants" if write_files else None
-    if write_files:
-        try:
-            shutil.rmtree(variants_dir)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise StorageError(f"cannot empty {variants_dir}: {exc}") from None
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+def _evaluated_pairs(config: ExperimentConfig, skips: _Skips, variants_dir: Path | None = None):
+    """Yield (page_id, solution, original graph, variant graph, metrics) for
+    each (page, solution) pair that evaluates, in corpus then solution order,
+    storing each variant under variants_dir when one is given."""
     pagemodel.html_index.cache_clear()
-    records: list[tuple[str, str, PageMetrics]] = []
-    similarity_table = []
-    skips: list[tuple[str, str, str]] = []
-    filtered = 0
     for page_id in config.corpus.pages:
         try:
             page = load_page(page_id, config.archive_dir)
             if config.min_page_bytes and page.total_bytes() < config.min_page_bytes:
-                filtered += 1
-                _skip(skips, page_id, "*", f"below size floor {config.min_page_bytes}")
+                skips.below_floor += 1
+                skips.add(page_id, "*", f"below size floor {config.min_page_bytes}")
                 continue
-            graph = pagemodel.parse_page(page)
+            original = pagemodel.parse_page(page)
         except WasefError as exc:
-            _skip(skips, page_id, "*", exc)
+            skips.add(page_id, "*", exc)
             continue
         for spec in config.solutions:
             try:
-                metrics, scores = _evaluate_pair(page, graph, spec, config, variants_dir)
+                variant = apply_transform(spec, page).page
+                if variants_dir is not None:
+                    store_page(variant, variants_dir)
+                graph = pagemodel.parse_page(variant)
+                del variant  # its bodies need not outlive this pair
+                metrics = simulate_load(graph, config.network, config.device)
             except Exception as exc:
-                _skip(skips, page_id, spec.name, exc)
+                skips.add(page_id, spec.name, exc)
                 continue
-            records.append((page_id, spec.name, metrics))
-            similarity_table.append((page_id, spec.name, scores))
+            yield page_id, spec.name, original, graph, metrics
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every stage and write results.json, similarity.json, the report
+    and every variant under out_dir. The variants root, out_dir/variants,
+    is emptied first, so it holds this run's variants only."""
+    out_dir = Path(config.out_dir)
+    variants_dir = out_dir / "variants"
+    try:
+        shutil.rmtree(variants_dir)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise StorageError(f"cannot empty {variants_dir}: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    skips = _Skips()
+    records: list[tuple[str, str, PageMetrics]] = []
+    similarity_table = []
+    for page_id, solution, original, variant, metrics in _evaluated_pairs(config, skips, variants_dir):
+        try:
+            scores = similarity.score_graphs(original, variant)
+        except Exception as exc:
+            skips.add(page_id, solution, exc)
+            continue
+        records.append((page_id, solution, metrics))
+        similarity_table.append((page_id, solution, scores))
     records.sort(key=lambda r: (r[0], r[1]))
     similarity_table.sort(key=lambda r: (r[0], r[1]))
 
@@ -349,19 +353,20 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True) -> Experi
     bundle = build_bundle(
         records, similarity_table, skips, snapshot, snapshot, group_labels=config.corpus.group_labels
     )
-    if not records:
-        exit_code = 4
-    elif len(skips) > filtered:
-        exit_code = 3
-    else:
-        exit_code = 0
+    paths = {
+        "results.json": write_results(records, out_dir / "results.json"),
+        "similarity.json": write_similarity(similarity_table, out_dir / "similarity.json"),
+        **report.write_bundle(bundle, out_dir / "report"),
+    }
+    return ExperimentResult(bundle=bundle, records=records, exit_code=skips.exit_code(len(records)), paths=paths)
 
-    paths: dict[str, Path] = {}
-    if write_files:
-        paths["results.json"] = write_results(records, out_dir / "results.json")
-        paths["similarity.json"] = write_similarity(similarity_table, out_dir / "similarity.json")
-        paths.update(report.write_bundle(bundle, out_dir / "report"))
-    return ExperimentResult(bundle=bundle, records=records, exit_code=exit_code, paths=paths)
+
+def evaluate(config: ExperimentConfig) -> tuple[list[tuple[str, str, PageMetrics]], int]:
+    """The metrics of every pair that evaluates, in corpus then solution
+    order, and the exit code. Nothing is stored, scored or written."""
+    skips = _Skips()
+    records = [(page_id, solution, metrics) for page_id, solution, *_, metrics in _evaluated_pairs(config, skips)]
+    return records, skips.exit_code(len(records))
 
 
 def build_bundle(
@@ -388,14 +393,6 @@ def build_bundle(
         skip_report=sorted(skips + delta_skips),
         deltas=deltas,
     )
-
-
-def transform_pages(spec: TransformSpec, page_ids, archive_dir, out_dir):
-    """Apply one solution to each page; store each variant and yield it."""
-    for page_id in page_ids:
-        variant = apply_transform(spec, load_page(page_id, archive_dir))
-        store_page(variant.page, out_dir)
-        yield variant
 
 
 def _pairs(value) -> bool:

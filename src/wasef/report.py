@@ -7,7 +7,9 @@ printed with Python's shortest round-trip representation.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 from dataclasses import dataclass, field
 from html import escape
@@ -66,33 +68,41 @@ def write_json(value, path: str | Path) -> Path:
     return write_text(json.dumps(value, indent=2) + "\n", path)
 
 
+def _write_csv(header: str, rows, path: Path) -> Path:
+    """Write a header and rows; only a field holding a comma, a quote or a
+    line break is quoted, so other fields keep their bytes."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return write_text(text.getvalue(), path)
+
+
 def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     """Write deltas.csv and similarity.csv, plus skips.csv when there are
     skips, with stable lexicographic row order. Without skips, a skips.csv
     an earlier run left in out_dir is removed."""
     out = Path(out_dir)
     rows = sorted(bundle.deltas, key=lambda r: (r.page_id, r.solution, r.metric))
-    lines = ["page_id,solution,metric,original,variant,delta"]
-    for r in rows:
-        lines.append(
-            f"{r.page_id},{r.solution},{r.metric},"
-            f"{_fmt(r.original_value)},{_fmt(r.variant_value)},{_fmt(r.delta)}"
+    paths = [
+        _write_csv(
+            "page_id,solution,metric,original,variant,delta",
+            ((r.page_id, r.solution, r.metric, _fmt(r.original_value), _fmt(r.variant_value), _fmt(r.delta))
+             for r in rows),
+            out / "deltas.csv",
         )
-    paths = [write_text("\n".join(lines) + "\n", out / "deltas.csv")]
-
+    ]
     sim_rows = sorted(bundle.similarity_table, key=lambda r: (r[0], r[1]))
-    lines = ["page_id,solution,structural,functional"]
-    for page_id, solution, scores in sim_rows:
-        lines.append(
-            f"{page_id},{solution},{_fmt(scores.structural)},{_fmt(scores.functional or 0.0)}"
+    paths.append(
+        _write_csv(
+            "page_id,solution,structural,functional",
+            ((page_id, solution, _fmt(scores.structural), _fmt(scores.functional or 0.0))
+             for page_id, solution, scores in sim_rows),
+            out / "similarity.csv",
         )
-    paths.append(write_text("\n".join(lines) + "\n", out / "similarity.csv"))
-
+    )
     if bundle.skip_report:
-        lines = ["page_id,solution,reason"]
-        for page_id, solution, reason in sorted(bundle.skip_report):
-            lines.append(f"{page_id},{solution},{reason.replace(',', ';')}")
-        paths.append(write_text("\n".join(lines) + "\n", out / "skips.csv"))
+        paths.append(_write_csv("page_id,solution,reason", sorted(bundle.skip_report), out / "skips.csv"))
     else:
         try:
             (out / "skips.csv").unlink(missing_ok=True)

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from wasef.archive import load_page, normalize_url
-from wasef.experiment import config_from_dict, run_experiment
+from wasef.experiment import config_from_dict, evaluate, run_experiment, write_results
 from wasef.fixtures import make_fixtures
 from wasef.loadsim import (
     DEVICE_PROFILES,
@@ -416,6 +416,23 @@ def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
         for name in PINNED_200_PAGE_DIGESTS
     }
     assert digests == PINNED_200_PAGE_DIGESTS
+
+
+def test_200_page_evaluate_results_are_pinned(fixtures200, tmp_path):
+    config = config_from_dict(
+        {
+            "archive_dir": str(fixtures200.archive_dir),
+            "out_dir": str(tmp_path),
+            "corpus": {"name": "fixtures", "pages": fixtures200.corpus.pages},
+            "solutions": FIVE_SOLUTIONS,
+            "network": "3g",
+            "device": "lowend",
+        }
+    )
+    records, exit_code = evaluate(config)
+    assert exit_code == 0
+    digest = hashlib.sha256(write_results(records, tmp_path / "results.json").read_bytes()).hexdigest()
+    assert digest == PINNED_200_PAGE_DIGESTS["results.json"]
 
 
 # SHA-256 over graph_to_dict (JSON, sorted keys) of every seeded 200-page

@@ -111,6 +111,13 @@ def test_normalize_url_is_idempotent(prefix, rest):
     assert normalize_url(once) == once
 
 
+# (name, value) headers that would not go out as exactly one header line.
+NOT_ONE_LINE = [
+    ("X-A", "1\r\nX-Injected: yes"), ("X-A", "1\nX-Injected: yes"), ("X-A", "1\rX"), ("X-A", "1\x00"),
+    ("X-A\r\nX-Injected", "yes"), ("", "1"),
+]
+
+
 class TestImportHar:
     def _har(self, entries, pages=None):
         return json.dumps({"log": {"version": "1.2", "pages": pages or [], "entries": entries}})
@@ -257,6 +264,14 @@ class TestImportHar:
         ]
         with pytest.raises(BodyDecodeError) as exc_info:
             import_har(self._har(entries))
+        assert exc_info.value.entry_index == 1
+
+    @pytest.mark.parametrize("name, value", NOT_ONE_LINE)
+    def test_header_that_is_not_one_line_names_its_entry(self, name, value):
+        entry = self._entry("http://s.test/a.css", "text/css", "body{}")
+        entry["response"]["headers"].append({"name": name, "value": value})
+        with pytest.raises(BodyDecodeError, match="empty name or holds CR, LF or NUL") as exc_info:
+            import_har(self._har([self._entry("http://s.test/", "text/html", "<p>x</p>"), entry]))
         assert exc_info.value.entry_index == 1
 
 
@@ -438,6 +453,12 @@ class TestStoreLoad:
     def test_malformed_headers_are_corrupt(self, tmp_path):
         pid = self._rewrite_entry(tmp_path, lambda entry: entry.update(headers=[["only-a-name"]]))
         with pytest.raises(CorruptArchive):
+            load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize("name, value", NOT_ONE_LINE)
+    def test_header_that_is_not_one_line_is_corrupt(self, tmp_path, name, value):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry["headers"].append([name, value]))
+        with pytest.raises(CorruptArchive, match="exchange 1 headers is not .* no CR, LF or NUL"):
             load_page(pid, tmp_path)
 
     def test_restore_is_byte_identical(self, tmp_path):

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import wasef
+import wasef.report
+import wasef.similarity
+import wasef.stats
 from wasef.archive import load_page, store_page
 from wasef.cli import main
 from wasef.errors import ConfigError
@@ -542,6 +545,28 @@ class TestSinglePath:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert any(broken in message for message in warnings)
 
+    def test_evaluate_neither_scores_nor_bundles(self, single_path_run, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluate reached a stage whose output it never writes")
+
+        for module, name in ((wasef.similarity, "score_graphs"), (wasef.stats, "compute_deltas"),
+                             (wasef.report, "write_bundle")):
+            monkeypatch.setattr(module, name, never)
+        assert evaluate(single_path_run / "archive", tmp_path / "results.json") == 0
+        run_results = (single_path_run / "run" / "results.json").read_bytes()
+        assert (tmp_path / "results.json").read_bytes() == run_results
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
+
+    def test_transform_of_a_page_whose_root_blob_is_gone_exits_2(self, tmp_path, capsys):
+        corpus = make_fixtures(tmp_path / "archive", 2, seed=3)
+        root_blob(tmp_path / "archive", corpus.pages[1]).unlink()
+        code = main(["transform", "--archive", str(tmp_path / "archive"), "--corpus", "fixtures",
+                     "--solution", "js-strip", "--out", str(tmp_path / "variants")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and corpus.pages[1] in captured.err
+        assert captured.out.splitlines()[0].startswith(f"{corpus.pages[0]}:js-strip bytes_removed=")
+
 
 METRICS_ROW = {
     "page_id": "p", "solution": "identity", "fcp_seconds": 1.0, "plt_seconds": 2.0,
@@ -659,7 +684,6 @@ class TestLoadConfigFile:
             )
         )
         config = load_config(path)
-        assert config.parallelism == 2
         assert config.seed == 5
 
     def test_invalid_json(self, tmp_path):

@@ -1,7 +1,7 @@
 """The simulator against a frozen copy of its original paint bookkeeping,
 in which every pending paint holds a copy of the blockers discovered before
 it and every check re-tests them all; monotonicity of its metrics in
-bandwidth and RTT; plus a scale regression test."""
+bandwidth, RTT and script deletion; plus a scale regression test."""
 
 import dataclasses
 import heapq
@@ -477,13 +477,14 @@ def test_simulator_equals_reference(spec):
 
 
 # --- monotonicity ------------------------------------------------------------
-# Neither property holds in the simulator's model. The main thread runs each
-# task to its end in the order tasks become ready, and concurrent transfers
-# share the link equally, so a slower network can reorder that work or the
-# link's sharing into an earlier finish. Each test pins the smallest
-# counterexample found (by hypothesis, then by deleting tags while it still
-# failed) and is expected to fail until the model changes. The marks are
-# strict: once a pinned case holds, its test turns red and the mark must go.
+# None of these properties holds in the simulator's model. The main thread
+# runs each task to its end in the order tasks become ready, and concurrent
+# transfers share the link equally, so a slower network or a deleted tag can
+# reorder that work or the link's sharing into an earlier or later finish.
+# Each test pins the smallest counterexample found (by hypothesis, then by
+# deleting tags while it still failed) and is expected to fail until the
+# model changes. The marks are strict: once a pinned case holds, its test
+# turns red and the mark must go.
 
 # Halving 12.5 MB/s moves FCP and PLT from 0.1835 s to 0.1642 s. On the fast
 # link the async script lands while the parser waits on the sync script and
@@ -536,6 +537,50 @@ def test_halving_bandwidth_never_lowers_fcp_si_or_plt(spec):
 def test_doubling_rtt_never_lowers_fcp_si_or_plt(spec):
     net = spec[3]
     _never_faster(spec, dataclasses.replace(net, rtt_seconds=net.rtt_seconds * 2))
+
+
+# Dropping the 0-byte async script at cdn.test/r2 moves FCP from 0.14002 s to
+# 0.18002 s (50 kB/s, 50 ms RTT, two connections per host). Without it the
+# 2000-byte async script no longer queues behind it on cdn.test, so it shares
+# the link with the render-blocking 2000-byte stylesheet from the start, and
+# the stylesheet lands 2000 B / 50 kB/s = 40 ms later.
+DELETION_COUNTEREXAMPLE = (
+    1,
+    [(KIND_STYLESHEET, 0, 0.0, "http://cdn.test/r1"), (KIND_SCRIPT_ASYNC, 0, 0.0, "http://cdn.test/r2"),
+     (KIND_STYLESHEET, 2000, 0.0, "http://h.test/r0"), (KIND_SCRIPT_ASYNC, 2000, 0.0, "http://cdn.test/r0"),
+     ("text", 1, 0.0)],
+    set(), NetworkProfile(50_000.0, 0.05, 2), DeviceProfile(),
+)
+
+
+def _without(spec, position: int):
+    """The spec with items[position] deleted; missing marks keep their tags."""
+    root_bytes, items, missing, net, dev = spec
+    return (root_bytes, items[:position] + items[position + 1:],
+            {m - (m > position) for m in missing if m != position}, net, dev)
+
+
+SCRIPT_KINDS = (KIND_SCRIPT_SYNC, KIND_SCRIPT_INLINE, KIND_SCRIPT_ASYNC, KIND_SCRIPT_DEFER)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the model is not monotone in deletion")
+@settings(max_examples=200, deadline=None)
+@example(DELETION_COUNTEREXAMPLE)
+@given(page_specs())
+def test_dropping_a_script_never_raises_fcp_si_or_plt(spec):
+    """Dropping any one script whose URL no other tag uses (so its fetch
+    goes too) never raises FCP, Speed Index or PLT. TOL absorbs float
+    rounding only."""
+    net, dev = spec[3], spec[4]
+    items = spec[1]
+    base = simulate_load(build_graph(spec), net, dev)
+    for position, item in enumerate(items):
+        if item[0] not in SCRIPT_KINDS or sum(other[0] != "text" and other[3] == item[3] for other in items) > 1:
+            continue
+        less = simulate_load(build_graph(_without(spec, position)), net, dev)
+        assert less.fcp_seconds <= base.fcp_seconds + TOL
+        assert less.speed_index_seconds <= base.speed_index_seconds + TOL
+        assert less.plt_seconds <= base.plt_seconds + TOL
 
 
 # --- scale -------------------------------------------------------------------

@@ -309,16 +309,16 @@ class TestIndexCache:
                 "solutions": solutions,
             }
         )
-        assert run_experiment(config, write_files=False).exit_code == 0
+        assert run_experiment(config).exit_code == 0
         assert len(feeds) == len(roots) < 20 * len(solutions)
-        assert run_experiment(config, write_files=False).exit_code == 0
+        assert run_experiment(config).exit_code == 0
         assert len(feeds) == 2 * len(roots)
 
         # Two pages' roots all fit in the cache at once, so a second run over
         # them parses again only because each run starts with an empty cache.
         feeds.clear()
         config.corpus.pages = corpus.pages[:2]
-        run_experiment(config, write_files=False)
+        run_experiment(config)
         first_run = len(feeds)
-        run_experiment(config, write_files=False)
+        run_experiment(config)
         assert len(feeds) == 2 * first_run > 0

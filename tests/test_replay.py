@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from wasef.errors import BindError
+from wasef.archive import load_page, store_page
+from wasef.errors import BindError, CorruptArchive
 from wasef.replay import ReplayServer, ShapingConfig, _ReplayHandler, _TokenBucket, serve
 
 from conftest import page_from_parts
@@ -308,6 +309,16 @@ class TestProtocol:
         with serve(plain_page) as server:
             [response], closed = _raw_exchange(server, request_line + b"\r\nHost: site.test\r\n\r\n", 1)
         assert response.status == status and closed
+
+    def test_stored_header_with_crlf_never_splits_an_answer(self, tmp_path):
+        page = page_from_parts("<html><body>archived root</body></html>")
+        page.root_exchange().headers.append(("X-A", "1\r\nX-Injected: yes"))
+        store_page(page, tmp_path)
+        # Served, the value would go out as two header lines; the load refuses it.
+        with pytest.raises(CorruptArchive, match="CR, LF or NUL"):
+            with serve(load_page(page.page_id, tmp_path)) as server:
+                [answer], _ = _raw_exchange(server, _request("/index.html"), 1)
+            assert ("X-Injected", "yes") not in answer.headers
 
     def test_header_value_outside_latin1_goes_out_as_utf8(self):
         page = page_from_parts("<html><body>x</body></html>")

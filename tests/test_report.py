@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -5,10 +6,14 @@ import re
 
 import pytest
 
+from wasef.archive import store_page
 from wasef.errors import StorageError
+from wasef.experiment import config_from_dict, run_experiment
 from wasef.report import ReportBundle, emit_csv, emit_html, emit_summaries, write_bundle, write_text
 from wasef.similarity import SimilarityScores
 from wasef.stats import DeltaRecord, summarize_deltas
+
+from conftest import page_from_parts
 
 
 def sample_deltas(pages=("p1", "p2"), solutions=("strip",)):
@@ -69,6 +74,32 @@ class TestCsv:
         paths = emit_csv(sample_bundle(), tmp_path)
         assert not (tmp_path / "skips.csv").exists()
         assert [p.name for p in paths] == ["deltas.csv", "similarity.csv"]
+
+    def test_run_with_a_comma_in_its_page_id_reads_back_with_csv_reader(self, tmp_path):
+        page = page_from_parts("<html><body><p>shop</p><script>var a = 1;</script></body></html>",
+                               assets=[("/p.png", "image/png", b"\x89PNG" * 100)])
+        page.page_id = "shop,home"
+        store_page(page, tmp_path / "archive")
+        config = config_from_dict({
+            "archive_dir": str(tmp_path / "archive"),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "c", "pages": ["shop,home"]},
+            "solutions": ["identity", "js-strip", {"name": "img-downscale", "params": {"quality": 2}}],
+        })
+        result = run_experiment(config)
+        assert result.exit_code == 3
+
+        def rows(name):
+            with open(tmp_path / "out" / "report" / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        deltas, similarity, skips = rows("deltas.csv"), rows("similarity.csv"), rows("skips.csv")
+        assert len(deltas) == 1 + 6 and all(len(row) == 6 for row in deltas)
+        assert len(similarity) == 1 + 2 and all(len(row) == 4 for row in similarity)
+        assert {row[0] for row in deltas[1:] + similarity[1:]} == {"shop,home"}
+        ((page_id, solution, reason),) = result.bundle.skip_report
+        assert skips == [["page_id", "solution", "reason"], ["shop,home", "img-downscale", reason]]
+        assert "shop,home" in reason and "(0, 1]" in reason
 
     def test_reemission_is_byte_identical(self, tmp_path):
         bundle = sample_bundle()
