@@ -217,12 +217,16 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
     Duplicate (method, url) keys keep the first entry. Only GET and POST
     exchanges are archived; other methods are dropped with a warning. The
     root document is ``root_url_hint`` when given, otherwise the first
-    status-200 entry with an HTML content type. Text that is not JSON, or
-    whose log, entries, requests or responses have the wrong shape, raises
-    BodyDecodeError naming the entry (-1 for the document itself).
+    status-200 entry with an HTML content type. Bytes that are not UTF-8,
+    text that is not JSON, or a log, entry, request, response or
+    startedDateTime of the wrong shape raises BodyDecodeError naming the
+    entry (-1 for the document itself).
     """
     if isinstance(har_text, bytes):
-        har_text = har_text.decode("utf-8")
+        try:
+            har_text = har_text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BodyDecodeError(-1, f"HAR is not UTF-8: {exc}") from None
     try:
         har = json.loads(har_text)
     except json.JSONDecodeError as exc:
@@ -234,14 +238,16 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
     exchanges: dict[tuple[str, str], ArchivedExchange] = {}
     recorded_at = ""
     for har_page in _har_shape(har_log.get("pages", []), list, "log.pages", -1):
-        if _har_shape(har_page, dict, "log.pages[]", -1).get("startedDateTime"):
-            recorded_at = har_page["startedDateTime"]
+        har_page = _har_shape(har_page, dict, "log.pages[]", -1)
+        recorded_at = _har_shape(har_page.get("startedDateTime", ""), str, "log.pages[].startedDateTime", -1)
+        if recorded_at:
             break
 
     for index, entry in enumerate(entries):
         entry = _har_shape(entry, dict, "entry", index)
         request = _har_shape(entry.get("request", {}), dict, "request", index)
         response = _har_shape(entry.get("response", {}), dict, "response", index)
+        started = _har_shape(entry.get("startedDateTime", ""), str, "startedDateTime", index)
         method = _har_shape(request.get("method", ""), str, "request.method", index).upper()
         raw_url = request.get("url")
         if not method or not raw_url:
@@ -277,8 +283,8 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
             body=body,
             content_type=content_type_of(headers),
         )
-        if not recorded_at and entry.get("startedDateTime"):
-            recorded_at = entry["startedDateTime"]
+        if not recorded_at:
+            recorded_at = started
 
     if root_url_hint is not None:
         root_url = normalize_url(root_url_hint)

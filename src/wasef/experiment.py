@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -94,6 +95,10 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _profile_number(profile: dict, key: str, field: str, default: float | None = None) -> float:
     """``profile[key]`` as a float. A bool, a string or any other
     non-number is a ConfigError on ``field`` that names the key; a missing
@@ -134,9 +139,9 @@ def resolve_device(value, field: str = "device") -> DeviceProfile:
         if not (
             isinstance(coefficients, list)
             and len(coefficients) == 2
-            and all(map(_number, coefficients))
+            and all(_number(c) and math.isfinite(c) for c in coefficients)
         ):
-            raise ConfigError(f"{field}.cost_coefficients", "must be a list of two numbers")
+            raise ConfigError(f"{field}.cost_coefficients", "must be a list of two finite numbers")
         try:
             return DeviceProfile(
                 js_exec_bytes_per_sec=_profile_number(value, "js_exec_bytes_per_sec", field, 100000.0),
@@ -236,10 +241,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     check_corpus(corpus, archive_dir)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _integer(seed):
         raise ConfigError("seed", "must be an integer")
     min_page_bytes = raw.get("min_page_bytes", 0)
-    if not isinstance(min_page_bytes, int) or min_page_bytes < 0:
+    if not _integer(min_page_bytes) or min_page_bytes < 0:
         raise ConfigError("min_page_bytes", "must be a non-negative integer")
 
     return ExperimentConfig(

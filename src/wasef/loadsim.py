@@ -14,12 +14,18 @@ Model, in full:
   execution occupies the single main thread for bytes / js_exec rate. Async
   scripts execute FIFO as their fetches land, whenever the thread is free;
   deferred scripts execute in document order after parsing completes.
-* Paint: a text block paints when the parser passes it and every
+* Paint: a text block paints once the parser has passed it and every
   stylesheet discovered before it has been fetched; an image additionally
   waits for its own fetch. A sync script gates every later paint as well,
   yet needs no entry among the paint blockers: the parser reads no further
   until the script has executed, so each paint it gates is created after
-  that. Visual completeness at time t is painted weight over total weight.
+  that. The event loop only records each paint's creation mark and each
+  fetch's completion mark, both as (step, time) with step counting loop
+  iterations; after the run a paint lands at the latest of its creation
+  mark, its earlier stylesheets' completion marks and its own fetch's.
+  Paints go in (landing mark, creation) order. Marks compare by step first,
+  since several steps can share one time. Visual completeness at time t is
+  painted weight over total weight.
   Weights are the graph's derived ones: an image weighs its byte size, a
   text block its character count times pagemodel.TEXT_WEIGHT_PER_CHAR, and
   everything else nothing.
@@ -133,25 +139,15 @@ def speed_index(paint_timeline: list[tuple[float, float]], fcp: float = 0.0) -> 
 
 
 class _Fetch:
-    __slots__ = ("url", "host", "size", "seq", "done", "remaining")
+    __slots__ = ("url", "host", "size", "seq", "done_at", "remaining")
 
     def __init__(self, url: str, host: str, size: int, seq: int):
         self.url = url
         self.host = host
         self.size = size
         self.seq = seq
-        self.done = False
+        self.done_at: tuple[int, float] | None = None  # (step, time) of completion
         self.remaining = float(size)
-
-
-class _PendingPaint:
-    __slots__ = ("order", "prefix", "weight", "fetch")
-
-    def __init__(self, order: int, prefix: int, weight: float, fetch: _Fetch | None):
-        self.order = order  # creation order, which is discovery order
-        self.prefix = prefix  # waits on blockers[:prefix]
-        self.weight = weight
-        self.fetch = fetch
 
 
 class _Simulation:
@@ -160,6 +156,7 @@ class _Simulation:
         self.net = net
         self.dev = dev
         self.t = 0.0
+        self.step = 0  # event-loop iterations so far
         self.seq = itertools.count()
         self.events: list = []  # heap of (time, seq, kind, payload)
         self.transfers: dict[_Fetch, None] = {}
@@ -185,11 +182,9 @@ class _Simulation:
         self.defer_queue: deque[Resource] = deque()
 
         self.blockers: list[_Fetch] = []  # render-blocking stylesheet fetches
-        self.watermark = 0  # blockers[:watermark] are all satisfied
-        self.paint_order = itertools.count()
-        self.prefix_waits: deque[_PendingPaint] = deque()
-        self.fetch_waits: dict[_Fetch, list[_PendingPaint]] = defaultdict(list)
-        self.ready: list[_PendingPaint] = []
+        # (step, time, blocker prefix, weight, own fetch or None) per paint,
+        # in creation order; _finalize turns them into landed paints.
+        self.paint_marks: list[tuple[int, float, int, float, _Fetch | None]] = []
         self.paints: list[tuple[float, float]] = []
 
         self.js_total = 0.0
@@ -225,11 +220,10 @@ class _Simulation:
                 self._schedule(self.t + self.net.rtt_seconds, "latency_done", fetch)
 
     def _complete_fetch(self, fetch: _Fetch) -> None:
-        fetch.done = True
+        fetch.done_at = (self.step, self.t)
         self._bump_plt(self.t)
         self.host_active[fetch.host] -= 1
         self.async_ready += self.async_waiting.pop(fetch, ())
-        self.ready += self.fetch_waits.pop(fetch, ())
 
     # -- main thread ------------------------------------------------------
 
@@ -245,10 +239,10 @@ class _Simulation:
         if self.thread_busy:
             return
         if self.blocking_script is not None:
-            if self.blocking_fetch is None or self.blocking_fetch.done:
+            if self.blocking_fetch is None or self.blocking_fetch.done_at is not None:
                 self._start_exec(self.blocking_script, True)
                 return
-        elif self.root_fetch.done and not self.parse_finished:
+        elif self.root_fetch.done_at is not None and not self.parse_finished:
             if self.item_idx < len(self.items):
                 target = min(self.items[self.item_idx].doc_offset, float(self.graph.root.bytes))
             else:
@@ -258,7 +252,7 @@ class _Simulation:
             self._schedule(self.t + dur, "task_done", ("parse", target))
             return
         if self.parse_finished and self.defer_queue:
-            if self.fetches[self.defer_queue[0].url].done:
+            if self.fetches[self.defer_queue[0].url].done_at is not None:
                 self._start_exec(self.defer_queue.popleft(), False)
                 return
             # head-of-line defer waits for its fetch; async may fill the gap
@@ -285,7 +279,7 @@ class _Simulation:
             self.blocking_fetch = self._issue_fetch(item)
         elif kind == KIND_SCRIPT_ASYNC:
             fetch = self._issue_fetch(item)
-            if fetch.done:
+            if fetch.done_at is not None:
                 self.async_ready.append(item)
             else:
                 self.async_waiting[fetch].append(item)
@@ -310,38 +304,8 @@ class _Simulation:
         if blocking:
             self.blocking_script = self.blocking_fetch = None
 
-    # -- paints -----------------------------------------------------------
-    # Blockers are the stylesheet fetches alone; a sync script needs none, as
-    # the module docstring says. Blockers are only ever appended, and a
-    # satisfied blocker stays satisfied. So one watermark over the leading
-    # satisfied blockers decides every paint's prefix, and paints, made in
-    # discovery order, wait on prefixes that never shrink: they leave a FIFO
-    # from its head. An image whose prefix is met waits on its own fetch in
-    # ``fetch_waits``.
-
     def _add_paint(self, weight: float, fetch: _Fetch | None) -> None:
-        self.prefix_waits.append(_PendingPaint(next(self.paint_order), len(self.blockers), weight, fetch))
-
-    def _check_paints(self) -> None:
-        waits = self.prefix_waits
-        if not waits and not self.ready:
-            return
-        blockers = self.blockers
-        mark = self.watermark
-        while mark < len(blockers) and blockers[mark].done:
-            mark += 1
-        self.watermark = mark
-        released, self.ready = self.ready, []
-        while waits and waits[0].prefix <= mark:
-            paint = waits.popleft()
-            if paint.fetch is None or paint.fetch.done:
-                released.append(paint)
-            else:
-                self.fetch_waits[paint.fetch].append(paint)
-        # Paints released together go in creation order, as a walk over all
-        # pending paints would add them, so the cumulative sums stay the same.
-        released.sort(key=lambda paint: paint.order)
-        self.paints += [(self.t, paint.weight) for paint in released]
+        self.paint_marks.append((self.step, self.t, len(self.blockers), weight, fetch))
 
     # -- engine -----------------------------------------------------------
 
@@ -374,6 +338,7 @@ class _Simulation:
             t_next = self._next_time()
             if t_next is None:
                 break
+            self.step += 1
             self._advance_to(t_next)
 
             batch = []
@@ -400,11 +365,21 @@ class _Simulation:
 
             self._pump_hosts()
             self._dispatch_thread()
-            self._check_paints()
 
         return self._finalize()
 
     def _finalize(self) -> PageMetrics:
+        # gates[k] is the latest completion mark among blockers[:k].
+        gates = list(itertools.accumulate((b.done_at for b in self.blockers), max, initial=(0, 0.0)))
+        landings = []
+        for order, (step, t, prefix, weight, fetch) in enumerate(self.paint_marks):
+            mark = max((step, t), gates[prefix])
+            if fetch is not None:
+                mark = max(mark, fetch.done_at)
+            landings.append((mark, order, weight))
+        landings.sort()
+        self.paints = [(t, weight) for (_, t), _, weight in landings]
+
         total_weight = self.graph.total_visual_weight
         timeline: list[tuple[float, float]] = []
         if total_weight > 0:

@@ -229,6 +229,7 @@ class TestImportHar:
             {"log": {"entries": "x"}},
             {"log": {"pages": {}, "entries": []}},
             {"log": {"pages": ["x"], "entries": []}},
+            {"log": {"pages": [{"startedDateTime": 5}], "entries": []}},
         ],
     )
     def test_malformed_document_is_typed(self, har):
@@ -255,6 +256,7 @@ class TestImportHar:
             lambda entry: {**entry, "response": {**entry["response"], "content": {"text": 5}}},
             lambda entry: {**entry, "response": {**entry["response"],
                                                  "content": {"text": "x", "encoding": 5}}},
+            lambda entry: {**entry, "startedDateTime": 5},
         ],
     )
     def test_malformed_entry_is_typed(self, mangle):

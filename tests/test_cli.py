@@ -216,6 +216,10 @@ class TestConfig:
              "solutions[1].params"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": None}}], "solutions[0].params"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": True}}], "solutions[0].params"),
+            ("seed", True, "seed"),
+            ("min_page_bytes", True, "min_page_bytes"),
+            ("device", {"cost_coefficients": [float("inf"), 1]}, "device.cost_coefficients"),
+            ("device", {"cost_coefficients": [1.0, float("nan")]}, "device.cost_coefficients"),
         ],
     )
     def test_malformed_inline_value_names_its_field(self, tmp_path, key, value, field):
@@ -651,6 +655,14 @@ class TestCliInputErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: har: ") and "Traceback" not in err
+
+    def test_har_that_is_not_utf8_exits_2_with_one_line(self, tmp_path, capsys):
+        har = tmp_path / "capture.har"
+        har.write_bytes(b'{"log": {"entries": []}}\xff')
+        code = main(["import-har", "--har", str(har), "--archive", str(tmp_path / "archive")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_unwritable_results_path_is_a_storage_error(self, single_path_run, tmp_path, capsys):
         (tmp_path / "file").write_text("")

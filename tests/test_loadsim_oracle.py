@@ -458,7 +458,20 @@ DEFER_LANDS_AFTER_PARSE = (
     set(), NetworkProfile(200_000.0, 0.4, 6), DeviceProfile(),
 )
 
+# One connection, zero RTT, 50 kB/s: the 2000-byte stylesheet lands at
+# t = 0.04002 s, and the 0-byte fetch its image shares with an async script,
+# queued behind it, completes one step later at the same time. Both paints
+# land at 0.04002 s, the text first: ordering landings by time alone would
+# put the image, created first, ahead of it.
+SAME_TIME_TWO_STEPS = (
+    1,
+    [(KIND_STYLESHEET, 2000, 0.0, "http://h.test/r1"), (KIND_SCRIPT_ASYNC, 0, 0.0, "http://h.test/r2"),
+     (KIND_IMAGE, 2000, 0.0, "http://h.test/r2"), ("text", 1, 0.0)],
+    set(), NetworkProfile(50_000.0, 0.0, 1), DeviceProfile(),
+)
+
 @settings(max_examples=300, deadline=None)
+@example(SAME_TIME_TWO_STEPS)
 @example(SAME_BATCH_IMAGES)
 @example(SYNC_AFTER_FETCHED)
 @example(SYNC_WHILE_STYLESHEET_IN_FLIGHT)
