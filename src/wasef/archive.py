@@ -64,6 +64,7 @@ _SHA256_RE = re.compile(r"[0-9a-f]{64}")
 _OLD_BODY_FILE_RE = re.compile(r"bodies/[0-9]+\.bin")  # the per-page layout blobs replaced
 _NOT_IN_PAGE_ID_RE = re.compile(r"[/\\\x00]")
 _LINE_BREAK_RE = re.compile(r"[\r\n\x00]")  # would end or cut a replayed header line
+_TOKEN_RE = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 section 5.6.2: a field name
 
 
 @dataclass
@@ -266,7 +267,11 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
             name = _har_shape(header.get("name", ""), str, "header name", index)
             value = _har_shape(header.get("value", ""), str, "header value", index)
             if not _is_header_line(name, value):
-                raise BodyDecodeError(index, f"header {name!r} has an empty name or holds CR, LF or NUL")
+                raise BodyDecodeError(
+                    index,
+                    f"header {name!r} has an empty name or holds CR, LF or NUL,"
+                    " or a name that is not an RFC 9110 token",
+                )
             headers.append((name, value))
         body = _decode_har_body(
             _har_shape(response.get("content", {}) or {}, dict, "response.content", index), index
@@ -309,9 +314,12 @@ def import_har(har_text: bytes | str, root_url_hint: str | None = None) -> Archi
 
 
 def _is_header_line(name: str, value: str) -> bool:
-    """Whether an archived header goes out as exactly one header line: its
-    name is not empty, and neither name nor value holds CR, LF or NUL."""
-    return bool(name) and not _LINE_BREAK_RE.search(name) and not _LINE_BREAK_RE.search(value)
+    """Whether an archived header goes out as exactly one well-formed header
+    line: its name is an RFC 9110 token (one or more of the characters
+    ``!#$%&'*+-.^_`|~``, digits and ASCII letters, so never empty and never
+    holding ``:``, a space, CR, LF or NUL), and its value holds no CR, LF or
+    NUL."""
+    return _TOKEN_RE.fullmatch(name) is not None and not _LINE_BREAK_RE.search(value)
 
 
 def page_id_problem(page_id) -> str | None:
@@ -454,7 +462,10 @@ _ENTRY_FIELDS = {
     "method": (_is_str, "a string"),
     "url": (_is_str, "a string"),
     "status": (lambda value: type(value) is int, "an integer"),
-    "headers": (_is_headers, "a list of [name, value] string pairs with a name and no CR, LF or NUL"),
+    "headers": (
+        _is_headers,
+        "a list of [name, value] string pairs, each name an RFC 9110 token, with no CR, LF or NUL",
+    ),
     "content_type": (_is_str, "a string"),
     "body_file": (_is_str, "a string"),
     "body_sha256": (lambda value: isinstance(value, str) and _SHA256_RE.fullmatch(value) is not None,

@@ -2,23 +2,36 @@
 every variant under one network/device pair, score similarity against the
 original, then build delta statistics into a report bundle.
 
-One pair loop (_evaluated_pairs) loads, size-filters and parses each page,
-then per solution transforms, stores (run only), parses and simulates the
-variant. ``wasef run`` (run_experiment) also scores each pair, bundles and
-writes every file; ``wasef evaluate`` (evaluate) keeps the metrics alone;
-``wasef report`` bundles the files run wrote (read_results, read_similarity).
+One per-page function (_evaluate_page) loads, size-filters and parses a
+page, then per solution transforms, stores (run only), parses, simulates
+and scores (run only) the variant. ``wasef run`` (run_experiment) bundles
+and writes every file; ``wasef evaluate`` (evaluate) keeps the metrics
+alone; ``wasef report`` bundles the files run wrote (read_results,
+read_similarity).
+
+Pages are independent, so both map _evaluate_page over the corpus through
+one helper (_pair_rows). With more than one usable CPU it runs in a new
+pool of forked workers, one per usable CPU (os.sched_getaffinity) and never
+more than there are pages, each task a chunk of len(pages) // (4 * workers)
+pages or one. Forking lets workers inherit transforms registered at run
+time. With one usable CPU or one page, or where fork is not offered, the
+pages run in this process and no process is started. The parent merges the
+rows in corpus order and keeps sorting, bundling and writing, so every
+output byte is the same whatever the worker count.
 
 (config, archive) fully determines every output byte. Failures are skips,
-each logged at WARNING where it is recorded: a page that fails to load or
-parse is skipped under every solution ("*"), and a (page, solution) pair
-that raises is skipped alone. The exit code counts these skips only: 0 for
-none, 3 for some, 4 when nothing was evaluated. A page below min_page_bytes
-is a skip too, but configuration, not a failure. A pair with no baseline or
-variant record has no deltas and joins the skip report in build_bundle.
+each logged at WARNING by the parent as it merges the page's result: a
+page that fails to load or parse is skipped under every solution ("*"),
+and a (page, solution) pair that raises is skipped alone. The exit code
+counts these skips only: 0 for none, 3 for some, 4 when nothing was
+evaluated. A page below min_page_bytes is a skip too, but configuration,
+not a failure. A pair with no baseline or variant record has no deltas and
+joins the skip report in build_bundle.
 
-Pages are streamed, one at a time under every solution, so the HTML
-(pagemodel.html_index) and script (jsscan.index) caches need hold only one
-page; the HTML cache is cleared when a run starts.
+Each worker takes its pages one at a time under every solution, so the
+HTML (pagemodel.html_index) and script (jsscan.index) caches, one per
+worker, need hold only one page. The HTML cache is cleared before a run's
+pages start, so forked workers start with it empty.
 """
 
 from __future__ import annotations
@@ -27,8 +40,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import shutil
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from . import archive, pagemodel, report, similarity, stats
@@ -44,7 +59,7 @@ from .loadsim import (
 )
 from .report import ReportBundle
 from .similarity import SimilarityScores
-from .transform import TransformSpec, apply_transform
+from .transform import TransformSpec, apply_transform, downscale_quality
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +190,13 @@ def _resolve_solutions(raw, field: str = "solutions") -> list[TransformSpec]:
                 raise ConfigError(f"{where}.params", f"{key} must be a string or a number, got {param!r}")
         if not isinstance(version, str):
             raise ConfigError(f"{where}.version", "must be a string")
-        specs.append(TransformSpec(name=name, params={str(k): str(v) for k, v in params.items()}, version=version))
+        spec = TransformSpec(name=name, params={str(k): str(v) for k, v in params.items()}, version=version)
+        if name == "img-downscale":
+            try:
+                downscale_quality(spec.params)
+            except ValueError as exc:
+                raise ConfigError(f"{where}.params", str(exc)) from None
+        specs.append(spec)
     if not any(spec.name == "identity" for spec in specs):
         specs.insert(0, TransformSpec(name="identity"))  # implied baseline
     check_solutions(specs, field)
@@ -296,40 +317,86 @@ class _Skips(list):
         return 3 if len(self) > self.below_floor else 0
 
 
-def _evaluated_pairs(config: ExperimentConfig, skips: _Skips, variants_dir: Path | None = None):
-    """Yield (page_id, solution, original graph, variant graph, metrics) for
-    each (page, solution) pair that evaluates, in corpus then solution order,
-    storing each variant under variants_dir when one is given."""
-    pagemodel.html_index.cache_clear()
-    for page_id in config.corpus.pages:
+def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
+    """One page's pairs: load, size-filter and parse the page, then per
+    solution transform, store under out_dir/variants (full only), parse,
+    simulate and score (full only) the variant.
+
+    Returns the (page_id, solution, metrics, scores) rows of the pairs that
+    evaluate, in solution order (scores is None unless full); the page's
+    (page_id, solution, reason) skips, in the order they arose; and 1 when
+    the page fell below the size floor, else 0. Graphs and pages never
+    leave it, so a worker sends back only these small values.
+    """
+    rows, skips = [], []
+    try:
+        page = load_page(page_id, config.archive_dir)
+        if config.min_page_bytes and page.total_bytes() < config.min_page_bytes:
+            return rows, [(page_id, "*", f"below size floor {config.min_page_bytes}")], 1
+        original = pagemodel.parse_page(page)
+    except WasefError as exc:
+        return rows, [(page_id, "*", str(exc))], 0
+    variants_dir = Path(config.out_dir) / "variants"
+    for spec in config.solutions:
         try:
-            page = load_page(page_id, config.archive_dir)
-            if config.min_page_bytes and page.total_bytes() < config.min_page_bytes:
-                skips.below_floor += 1
-                skips.add(page_id, "*", f"below size floor {config.min_page_bytes}")
-                continue
-            original = pagemodel.parse_page(page)
-        except WasefError as exc:
-            skips.add(page_id, "*", exc)
+            variant = apply_transform(spec, page).page
+            if full:
+                store_page(variant, variants_dir)
+            graph = pagemodel.parse_page(variant)
+            del variant  # its bodies need not outlive this pair
+            metrics = simulate_load(graph, config.network, config.device)
+            scores = similarity.score_graphs(original, graph) if full else None
+        except Exception as exc:
+            skips.append((page_id, spec.name, str(exc)))
             continue
-        for spec in config.solutions:
-            try:
-                variant = apply_transform(spec, page).page
-                if variants_dir is not None:
-                    store_page(variant, variants_dir)
-                graph = pagemodel.parse_page(variant)
-                del variant  # its bodies need not outlive this pair
-                metrics = simulate_load(graph, config.network, config.device)
-            except Exception as exc:
-                skips.add(page_id, spec.name, exc)
-                continue
-            yield page_id, spec.name, original, graph, metrics
+        rows.append((page_id, spec.name, metrics, scores))
+    return rows, skips, 0
+
+
+def _map_pages(evaluate_page, pages: list[str]):
+    """evaluate_page over pages, results in page order: in a new forked
+    pool of min(usable CPUs, pages) workers when that is above 1, each task
+    a chunk of max(1, len(pages) // (4 * workers)) pages, else in this
+    process. An exception a worker raises is raised here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(pages))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(evaluate_page, pages)
+        return
+    # Imported here, not at the top: they cost every command that starts no
+    # pool (serve, inspect) about 1 MB and 4 ms.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(evaluate_page, pages, chunksize=max(1, len(pages) // (4 * workers)))
+
+
+def _pair_rows(config: ExperimentConfig, full: bool, skips: _Skips) -> list[tuple]:
+    """The rows of every corpus page's _evaluate_page, in corpus then
+    solution order. Each page's skips are added to skips, and so logged,
+    here in the calling process as its result is merged."""
+    pagemodel.html_index.cache_clear()
+    rows = []
+    evaluate_page = partial(_evaluate_page, config, full)
+    for page_rows, page_skips, below_floor in _map_pages(evaluate_page, config.corpus.pages):
+        rows += page_rows
+        skips.below_floor += below_floor
+        for skip in page_skips:
+            skips.add(*skip)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every stage and write results.json, similarity.json, the report
     and every variant under out_dir. The variants root, out_dir/variants,
-    is emptied first, so it holds this run's variants only."""
+    is emptied first, so it holds this run's variants only.
+
+    Pages are evaluated in a forked worker pool, one worker per usable CPU
+    and at most one per page, in chunks of len(pages) // (4 * workers)
+    pages or one; with one usable CPU they run in this process. Sorting,
+    bundling and writing happen here, so no output byte depends on the
+    worker count."""
     out_dir = Path(config.out_dir)
     variants_dir = out_dir / "variants"
     try:
@@ -341,18 +408,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     skips = _Skips()
-    records: list[tuple[str, str, PageMetrics]] = []
-    similarity_table = []
-    for page_id, solution, original, variant, metrics in _evaluated_pairs(config, skips, variants_dir):
-        try:
-            scores = similarity.score_graphs(original, variant)
-        except Exception as exc:
-            skips.add(page_id, solution, exc)
-            continue
-        records.append((page_id, solution, metrics))
-        similarity_table.append((page_id, solution, scores))
-    records.sort(key=lambda r: (r[0], r[1]))
-    similarity_table.sort(key=lambda r: (r[0], r[1]))
+    rows = _pair_rows(config, True, skips)
+    records = sorted(((page_id, solution, metrics) for page_id, solution, metrics, _ in rows),
+                     key=lambda r: (r[0], r[1]))
+    similarity_table = sorted(((page_id, solution, scores) for page_id, solution, _, scores in rows),
+                              key=lambda r: (r[0], r[1]))
 
     snapshot = config.snapshot()
     bundle = build_bundle(
@@ -368,9 +428,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def evaluate(config: ExperimentConfig) -> tuple[list[tuple[str, str, PageMetrics]], int]:
     """The metrics of every pair that evaluates, in corpus then solution
-    order, and the exit code. Nothing is stored, scored or written."""
+    order, and the exit code. Nothing is stored, scored or written. Pages
+    are evaluated as run_experiment evaluates them, in a forked worker pool
+    when more than one CPU is usable; the records do not depend on the
+    worker count."""
     skips = _Skips()
-    records = [(page_id, solution, metrics) for page_id, solution, *_, metrics in _evaluated_pairs(config, skips)]
+    records = [(page_id, solution, metrics) for page_id, solution, metrics, _ in _pair_rows(config, False, skips)]
     return records, skips.exit_code(len(records))
 
 

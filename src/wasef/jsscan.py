@@ -12,10 +12,10 @@ tokens, built in a single pass over the text. Two callers ask: js-dce, for
 spans and tokens, and pagemodel.ResourceGraph.defined_names, for the names
 each script of a variant defines. Most solutions leave most script bodies
 unchanged, so the same texts are asked about again and again. index()
-therefore caches the last few indexes by text. The cache is kept small on
-purpose: each entry pins its text, and pages are evaluated one after
-another, so a page's bodies only need to stay cached while that page is
-being evaluated.
+therefore caches the last few indexes by text, one cache per worker
+process. The cache is kept small on purpose: each entry pins its text, and
+each worker evaluates its pages one after another, so a page's bodies only
+need to stay cached while that page is being evaluated.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class ScriptIndex:
     tokens: Mapping[str, int]
 
 
-@functools.lru_cache(maxsize=16)  # every body of a page, across its solutions
+@functools.lru_cache(maxsize=16)  # per worker: every body of a page, across its solutions
 def index(text: str) -> ScriptIndex:
     """The ScriptIndex of a script text, blanking it once."""
     code = strip_literals(text)

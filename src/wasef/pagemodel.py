@@ -13,7 +13,8 @@ histogram, the script spans and handler-attribute edits that the
 transforms rewrite, and whether an inline script injects. The index depends
 only on the root body's bytes and the root URL. A run evaluates one page
 under every solution in turn, and most solutions leave the root HTML
-unchanged, so the last few indexes are cached by (body, root URL).
+unchanged, so the last few indexes are cached by (body, root URL), one
+cache per worker process.
 parse_page() then binds an index to one page: it builds a fresh Resource
 per referenced resource, taking only its size and missing flag from that
 page's own exchanges, and shares the index's immutable text blocks and
@@ -391,7 +392,7 @@ class _IndexBuilder(HTMLParser):
 @functools.lru_cache(maxsize=16)
 def html_index(body: bytes, root_url: str) -> HtmlIndex:
     """The HtmlIndex of a root body, tokenized once per distinct (body,
-    root URL) among the last few asked for.
+    root URL) among the last few this worker process asked for.
 
     Offsets in ``resources`` and ``text_blocks`` are byte offsets: character
     offsets scaled by len(body) / len(text), capped at len(body). Every

@@ -179,6 +179,20 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     return _rebuild_page(page, None, set(), replaced)
 
 
+def downscale_quality(params: dict[str, str]) -> float:
+    """img-downscale's ``quality`` param as a float: the fraction of image
+    bytes to keep, 0.5 when absent. Anything but a number in (0, 1] raises
+    ValueError. Config validation and the transform both read it here."""
+    raw = params.get("quality", "0.5")
+    try:
+        quality = float(raw)
+    except ValueError:
+        quality = math.nan
+    if not 0.0 < quality <= 1.0:
+        raise ValueError(f"quality must be in (0, 1], got {raw!r}")
+    return quality
+
+
 def _img_downscale(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     """Thin each image body to ceil(quality * len) bytes plus a fixed marker.
 
@@ -186,9 +200,7 @@ def _img_downscale(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     pixels. Bodies that would not shrink are left untouched so the variant
     never grows.
     """
-    quality = float(params.get("quality", "0.5"))
-    if not 0.0 < quality <= 1.0:
-        raise ValueError(f"quality must be in (0, 1], got {quality}")
+    quality = downscale_quality(params)
     replaced = {}
     for (_, url), ex in page.exchanges.items():
         if not ex.content_type.startswith("image/"):

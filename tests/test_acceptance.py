@@ -8,6 +8,7 @@ import hashlib
 import http.client
 import json
 import math
+import os
 import random
 import re
 import statistics
@@ -351,8 +352,10 @@ def _digests(paths):
     return [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
 
 
-def test_criterion_08_replicability(fixtures20, tmp_path):
-    def run(out_name, parallelism):
+def test_criterion_08_replicability(fixtures20, tmp_path, monkeypatch):
+    def run(out_name, parallelism, cpus=None):
+        if cpus is not None:  # the worker count follows the usable CPUs
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         config = config_from_dict(
             {
                 "archive_dir": str(fixtures20.archive_dir),
@@ -371,15 +374,22 @@ def test_criterion_08_replicability(fixtures20, tmp_path):
         result = run_experiment(config)
         assert result.exit_code == 0
         base = tmp_path / out_name
+        variants = sorted(p for p in (base / "variants").rglob("*") if p.is_file())
+        assert variants
         return _digests(
             [base / "results.json", base / "report" / "deltas.csv", base / "report" / "report.html"]
-        )
+        ) + [(p.relative_to(base).as_posix(), digest) for p, digest in zip(variants, _digests(variants))]
 
     first = run("run1", 1)
     second = run("run2", 1)
     parallel = run("run8", 8)
     _report(8, "pipeline reruns and parallelism changes are byte-identical",
             first == second == parallel, f"(digests {first[0][:12]}..)")
+    one_worker = run("cpu1", 1, cpus={0})
+    two_workers = run("cpu2", 1, cpus={0, 1})
+    four_workers = run("cpu4", 1, cpus={0, 1, 2, 3})  # more workers than a 2-CPU host has: concurrent stores
+    _report(8, "outputs and variants do not depend on the worker count",
+            one_worker == two_workers == four_workers == first, f"({len(first) - 3} variant files)")
 
 
 FIVE_SOLUTIONS = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]

@@ -116,6 +116,8 @@ NOT_ONE_LINE = [
     ("X-A", "1\r\nX-Injected: yes"), ("X-A", "1\nX-Injected: yes"), ("X-A", "1\rX"), ("X-A", "1\x00"),
     ("X-A\r\nX-Injected", "yes"), ("", "1"),
 ]
+NOT_A_TOKEN = [("X:A", "1"), ("X A", "1"), ("X(A)", "1"), ("X-A ", "1"), ("Caf\u00e9", "1")]
+TOKEN_NAME = "X-Ok_1.!#$%&'*+^`|~"  # every tchar that is not a digit or letter
 
 
 class TestImportHar:
@@ -275,6 +277,20 @@ class TestImportHar:
         with pytest.raises(BodyDecodeError, match="empty name or holds CR, LF or NUL") as exc_info:
             import_har(self._har([self._entry("http://s.test/", "text/html", "<p>x</p>"), entry]))
         assert exc_info.value.entry_index == 1
+
+    @pytest.mark.parametrize("name, value", NOT_A_TOKEN)
+    def test_header_name_that_is_not_a_token_names_its_entry(self, name, value):
+        entry = self._entry("http://s.test/a.css", "text/css", "body{}")
+        entry["response"]["headers"].append({"name": name, "value": value})
+        with pytest.raises(BodyDecodeError, match="not an RFC 9110 token") as exc_info:
+            import_har(self._har([self._entry("http://s.test/", "text/html", "<p>x</p>"), entry]))
+        assert exc_info.value.entry_index == 1
+
+    def test_header_name_of_every_token_character_is_kept(self):
+        entry = self._entry("http://s.test/", "text/html", "<p>x</p>")
+        entry["response"]["headers"].append({"name": TOKEN_NAME, "value": "a value: with (spaces)"})
+        page = import_har(self._har([entry]))
+        assert (TOKEN_NAME, "a value: with (spaces)") in page.root_exchange().headers
 
 
 def blob_path(root, body: bytes):
@@ -462,6 +478,17 @@ class TestStoreLoad:
         pid = self._rewrite_entry(tmp_path, lambda entry: entry["headers"].append([name, value]))
         with pytest.raises(CorruptArchive, match="exchange 1 headers is not .* no CR, LF or NUL"):
             load_page(pid, tmp_path)
+
+    @pytest.mark.parametrize("name, value", NOT_A_TOKEN)
+    def test_header_name_that_is_not_a_token_is_corrupt(self, tmp_path, name, value):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry["headers"].append([name, value]))
+        with pytest.raises(CorruptArchive, match="exchange 1 headers is not .* RFC 9110 token"):
+            load_page(pid, tmp_path)
+
+    def test_header_name_of_every_token_character_loads(self, tmp_path):
+        pid = self._rewrite_entry(tmp_path, lambda entry: entry["headers"].append([TOKEN_NAME, "v: (x)"]))
+        headers = [header for ex in load_page(pid, tmp_path).exchanges.values() for header in ex.headers]
+        assert (TOKEN_NAME, "v: (x)") in headers
 
     def test_restore_is_byte_identical(self, tmp_path):
         page = page_from_parts("<html><body>x</body></html>", assets=[("/a.css", "text/css", b"body{}")])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wasef
+import wasef.experiment
 import wasef.report
 import wasef.similarity
 import wasef.stats
@@ -220,6 +222,10 @@ class TestConfig:
             ("min_page_bytes", True, "min_page_bytes"),
             ("device", {"cost_coefficients": [float("inf"), 1]}, "device.cost_coefficients"),
             ("device", {"cost_coefficients": [1.0, float("nan")]}, "device.cost_coefficients"),
+            ("solutions", [{"name": "img-downscale", "params": {"quality": 2}}], "solutions[0].params"),
+            ("solutions", ["identity", {"name": "img-downscale", "params": {"quality": "abc"}}],
+             "solutions[1].params"),
+            ("solutions", [{"name": "img-downscale", "params": {"quality": float("inf")}}], "solutions[0].params"),
         ],
     )
     def test_malformed_inline_value_names_its_field(self, tmp_path, key, value, field):
@@ -243,7 +249,7 @@ class TestConfig:
         assert "bandwidth_bytes_per_sec" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("quality", [[0.2], {"q": 0.2}, None])
+    @pytest.mark.parametrize("quality", [[0.2], {"q": 0.2}, None, 2, "abc", float("inf")])
     def test_non_scalar_param_exits_2_before_any_pair(self, tmp_path, capsys, quality):
         corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
         raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
@@ -309,9 +315,12 @@ class TestRunExperiment:
                 "archive_dir": str(tmp_path / "archive"),
                 "out_dir": str(tmp_path / "out"),
                 "corpus": {"name": "two", "pages": corpus.pages},
-                "solutions": ["identity", {"name": "img-downscale", "params": {"quality": "99"}}],
+                "solutions": ["identity", "img-downscale"],
             }
         )
+        # config_from_dict refuses this quality, so set it after validation
+        # to make the transform fail on every page.
+        config.solutions[1].params["quality"] = "99"
         result = run_experiment(config)
         # identity still evaluates, so this is a partial failure, not total.
         assert result.exit_code == 3
@@ -362,6 +371,75 @@ class TestRunExperiment:
         assert len(rows) == 2
         named = {entry["body_sha256"] for path in manifests for entry in json.loads(path.read_text())["exchanges"]}
         assert {blob.name for blob in (variants / "blobs").iterdir()} == named
+
+
+class TestWorkerPool:
+    """Pages run in a forked pool of one worker per usable CPU, at most one
+    per page; the parent merges, logs the skips and writes every file."""
+
+    def _config(self, archive, out, pages):
+        return config_from_dict({
+            "archive_dir": str(archive),
+            "out_dir": str(out),
+            "corpus": {"name": "pool", "pages": pages},
+            "solutions": ["identity", "js-strip", "img-downscale"],
+        })
+
+    def test_a_page_that_fails_to_load_is_skipped_and_logged_by_the_parent(self, tmp_path, monkeypatch, caplog):
+        pools = []  # the worker count of each pool started
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        corpus = make_fixtures(tmp_path / "archive", 5, seed=3)
+        broken = corpus.pages[1]
+        root_blob(tmp_path / "archive", broken).unlink()
+        outcomes = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            caplog.clear()
+            result = run_experiment(self._config(tmp_path / "archive", tmp_path / f"out{len(cpus)}", corpus.pages))
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            outcomes.append((result, warnings))
+        (pooled, pooled_warnings), (serial, serial_warnings) = outcomes
+        assert pools == [2]  # the one-CPU run started none
+        assert pooled.exit_code == serial.exit_code == 3
+        assert [skip[:2] for skip in pooled.bundle.skip_report] == [(broken, "*")]
+        assert pooled.bundle.skip_report == serial.bundle.skip_report
+        assert len(pooled_warnings) == 1 and broken in pooled_warnings[0]
+        assert pooled_warnings == serial_warnings
+        assert pooled.records == serial.records and len(pooled.records) == 4 * 3
+
+    @pytest.mark.parametrize("cpus, pages", [({0}, 4), ({0, 1}, 1)])
+    def test_one_worker_starts_no_process(self, tmp_path, monkeypatch, cpus, pages):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a one-worker run started a process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
+        corpus = make_fixtures(tmp_path / "archive", pages, seed=3)
+        config = self._config(tmp_path / "archive", tmp_path / "out", corpus.pages)
+        assert run_experiment(config).exit_code == 0
+        assert wasef.experiment.evaluate(config)[1] == 0
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_an_error_that_is_not_a_skip_escapes_the_run(self, tmp_path, monkeypatch, cpus):
+        corpus = make_fixtures(tmp_path / "archive", 4, seed=3)
+        real_load_page = wasef.experiment.load_page
+
+        def failing_load_page(page_id, archive_dir):
+            if page_id == corpus.pages[2]:
+                raise RuntimeError(f"cannot read {page_id}")
+            return real_load_page(page_id, archive_dir)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(wasef.experiment, "load_page", failing_load_page)
+        with pytest.raises(RuntimeError, match=f"cannot read {corpus.pages[2]}"):
+            run_experiment(self._config(tmp_path / "archive", tmp_path / "out", corpus.pages))
 
 
 class TestCliSurface:

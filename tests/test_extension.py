@@ -2,6 +2,7 @@
 transform contract (stdin = page directory, stdout = variant directory)."""
 
 import json
+import os
 import sys
 import textwrap
 
@@ -16,6 +17,7 @@ from wasef.transform import (
     TransformSpec,
     apply_transform,
     register_subprocess_transform,
+    register_transform,
 )
 
 from conftest import page_from_parts
@@ -94,6 +96,31 @@ def test_subprocess_failure_isolated_in_pipeline(scripts, tmp_path):
         assert all(s[1] == "ext-fail2" for s in result.bundle.skip_report)
     finally:
         _REGISTRY.pop("ext-fail2")
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_transform_registered_at_run_time_reaches_every_worker(tmp_path, monkeypatch, cpus):
+    def strip_again(page, params):  # nested, so a worker can only inherit it, never unpickle it
+        return apply_transform(TransformSpec(name="js-strip"), page).page
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    corpus = make_fixtures(tmp_path / "archive", 4, seed=3)
+    config = config_from_dict(
+        {
+            "archive_dir": str(tmp_path / "archive"),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "four", "pages": corpus.pages},
+            "solutions": ["identity", "js-strip", "ext-late"],
+        }
+    )
+    register_transform("ext-late", "registered after import", strip_again)
+    try:
+        result = run_experiment(config)
+    finally:
+        _REGISTRY.pop("ext-late")
+    assert result.exit_code == 0
+    metrics = {(page_id, solution): m for page_id, solution, m in result.records}
+    assert all(metrics[page_id, "ext-late"] == metrics[page_id, "js-strip"] for page_id in corpus.pages)
 
 
 def test_size_filter_excludes_without_failing(tmp_path):

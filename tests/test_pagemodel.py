@@ -1,5 +1,7 @@
 import copy
 import html.parser
+import multiprocessing
+import os
 import re
 
 import pytest
@@ -240,6 +242,26 @@ class TestInteractiveElements:
         assert a == b and a.startswith("button:handler:")
 
 
+class SharedCount:
+    """A list-like count of appends that forked processes share: len() is
+    the number of append() calls made in this process or in any child it
+    forked after the count was made."""
+
+    def __init__(self):
+        self._value = multiprocessing.get_context("fork").Value("q", 0)
+
+    def append(self, _item):
+        with self._value.get_lock():
+            self._value.value += 1
+
+    def clear(self):
+        with self._value.get_lock():
+            self._value.value = 0
+
+    def __len__(self):
+        return self._value.value
+
+
 class TestIndexCache:
     """parse_page binds a cached HtmlIndex; graphs share only its immutable
     text blocks and interactive elements, and each binds its own page's
@@ -293,7 +315,7 @@ class TestIndexCache:
                 variant = apply_transform(TransformSpec(name=name), page).page
                 roots.add((variant.root_exchange().body, variant.root_url))
 
-        feeds = []
+        feeds = SharedCount()  # run_experiment parses in forked workers
         original_feed = html.parser.HTMLParser.feed
 
         def counting_feed(parser, data):
@@ -316,6 +338,8 @@ class TestIndexCache:
 
         # Two pages' roots all fit in the cache at once, so a second run over
         # them parses again only because each run starts with an empty cache.
+        # Forked workers start afresh each run, so run in this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         feeds.clear()
         config.corpus.pages = corpus.pages[:2]
         run_experiment(config)

@@ -84,8 +84,9 @@ class TestCsv:
             "archive_dir": str(tmp_path / "archive"),
             "out_dir": str(tmp_path / "out"),
             "corpus": {"name": "c", "pages": ["shop,home"]},
-            "solutions": ["identity", "js-strip", {"name": "img-downscale", "params": {"quality": 2}}],
+            "solutions": ["identity", "js-strip", "img-downscale"],
         })
+        config.solutions[2].params["quality"] = "2"  # refused by config_from_dict; fails the transform
         result = run_experiment(config)
         assert result.exit_code == 3
 
