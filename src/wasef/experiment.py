@@ -9,6 +9,16 @@ and writes every file; ``wasef evaluate`` (evaluate) keeps the metrics
 alone; ``wasef report`` bundles the files run wrote (read_results,
 read_similarity).
 
+Many solutions leave many pages as they are (js-block-thirdparty on a page
+with no third-party script, identity always). A variant is unchanged when
+it has the page's root URL and exchange keys, in order, and each of its
+exchanges holds the page's own body object with the same content type:
+everything parse_page reads. An unchanged variant is still stored, but it
+is not parsed: it takes the page's own graph, which is simulated and
+scored against itself once per page, and each later unchanged solution
+gets a copy of those metrics and scores. The output bytes are those of a
+fresh evaluation.
+
 Pages are independent, so both map _evaluate_page over the corpus through
 one helper (_pair_rows). With more than one usable CPU it runs in a new
 pool of forked workers, one per usable CPU (os.sched_getaffinity) and never
@@ -31,11 +41,14 @@ joins the skip report in build_bundle.
 Each worker takes its pages one at a time under every solution, so the
 HTML (pagemodel.html_index) and script (jsscan.index) caches, one per
 worker, need hold only one page. The HTML cache is cleared before a run's
-pages start, so forked workers start with it empty.
+pages start, so forked workers start with it empty; the script cache is
+emptied before each page, so it holds every text of the current page and
+nothing else.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -46,8 +59,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
-from . import archive, pagemodel, report, similarity, stats
-from .archive import Corpus, load_corpus, load_page, page_id_problem, store_page
+from . import archive, jsscan, pagemodel, report, similarity, stats
+from .archive import ArchivedPage, Corpus, load_corpus, load_page, page_id_problem, store_page
 from .errors import ConfigError, StorageError, WasefError
 from .loadsim import (
     DEVICE_PROFILES,
@@ -317,10 +330,32 @@ class _Skips(list):
         return 3 if len(self) > self.below_floor else 0
 
 
+def _unchanged(page: ArchivedPage, variant: ArchivedPage) -> bool:
+    """Whether variant gives parse_page exactly page's inputs: the same root
+    URL, the same exchange keys in the same order, and at each key the same
+    body object with the same content type."""
+    return (
+        variant.root_url == page.root_url
+        and len(variant.exchanges) == len(page.exchanges)
+        and all(
+            key == variant_key and ex.body is variant_ex.body and ex.content_type == variant_ex.content_type
+            for (key, ex), (variant_key, variant_ex) in zip(page.exchanges.items(), variant.exchanges.items())
+        )
+    )
+
+
 def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
     """One page's pairs: load, size-filter and parse the page, then per
     solution transform, store under out_dir/variants (full only), parse,
     simulate and score (full only) the variant.
+
+    An unchanged variant (_unchanged: the page's own root URL, exchange
+    keys, body objects and content types, all that parse_page reads) is
+    stored but not parsed. The page's graph is simulated and scored against
+    itself once, for the first unchanged solution, and every later one gets
+    its own copy of those metrics and scores, so no two rows share an
+    object. A transform that returns new body objects, such as a subprocess
+    transform, takes the full path.
 
     Returns the (page_id, solution, metrics, scores) rows of the pairs that
     evaluate, in solution order (scores is None unless full); the page's
@@ -328,6 +363,7 @@ def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
     the page fell below the size floor, else 0. Graphs and pages never
     leave it, so a worker sends back only these small values.
     """
+    jsscan.index.cache_clear()  # the script cache holds this page's texts alone
     rows, skips = [], []
     try:
         page = load_page(page_id, config.archive_dir)
@@ -337,15 +373,25 @@ def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
     except WasefError as exc:
         return rows, [(page_id, "*", str(exc))], 0
     variants_dir = Path(config.out_dir) / "variants"
+    unchanged_result = None  # (metrics, scores) of original against itself
     for spec in config.solutions:
         try:
             variant = apply_transform(spec, page).page
             if full:
                 store_page(variant, variants_dir)
-            graph = pagemodel.parse_page(variant)
-            del variant  # its bodies need not outlive this pair
-            metrics = simulate_load(graph, config.network, config.device)
-            scores = similarity.score_graphs(original, graph) if full else None
+            if _unchanged(page, variant):
+                if unchanged_result is None:
+                    metrics, scores = unchanged_result = (
+                        simulate_load(original, config.network, config.device),
+                        similarity.score_graphs(original, original) if full else None,
+                    )
+                else:
+                    metrics, scores = copy.deepcopy(unchanged_result)
+            else:
+                graph = pagemodel.parse_page(variant)
+                del variant  # its bodies need not outlive this pair
+                metrics = simulate_load(graph, config.network, config.device)
+                scores = similarity.score_graphs(original, graph) if full else None
         except Exception as exc:
             skips.append((page_id, spec.name, str(exc)))
             continue

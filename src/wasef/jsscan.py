@@ -8,20 +8,30 @@ needs to know whether a handler name still has a plain definition.
 
 Every scan of a script body goes through one ScriptIndex: its top-level
 function spans, its top-level defined names and a count of its ``[\\w$]+``
-tokens, built in a single pass over the text. Two callers ask: js-dce, for
-spans and tokens, and pagemodel.ResourceGraph.defined_names, for the names
-each script of a variant defines. Most solutions leave most script bodies
-unchanged, so the same texts are asked about again and again. index()
-therefore caches the last few indexes by text, one cache per worker
-process. The cache is kept small on purpose: each entry pins its text, and
-each worker evaluates its pages one after another, so a page's bodies only
-need to stay cached while that page is being evaluated.
+tokens. index() builds it from two views of the text, both made by one pass
+of the literal pattern: the blanked code, in which every string literal and
+comment becomes spaces of the same length (newlines kept), so offsets and
+brace depth read as in the text; and a compact copy in which each literal's
+blank is cut to two characters, on which the assignment pattern runs. Tokens
+of ASCII text are counted by mapping every other ASCII character to a space
+and splitting; other text is matched with the token pattern.
+
+Two callers ask: js-dce, for spans and tokens, and
+pagemodel.ResourceGraph.defined_names, for the names each script of a
+variant defines. Most solutions leave most script bodies unchanged, so the
+same texts are asked about again and again. index() therefore caches every
+index by text, one cache per worker process, and the pipeline empties it
+before each page (experiment._evaluate_page), so it holds one page's texts
+at a time: each distinct text of a page, however many scripts the page
+has, is scanned once across its solutions. Other long-lived callers empty
+it the same way, with index.cache_clear().
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import string
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -32,7 +42,11 @@ from types import MappingProxyType
 _FUNC_DECL = re.compile(r"function(?<!\wfunction)\s+([A-Za-z_$][\w$]*)\s*\(")
 _TOP_ASSIGN = re.compile(r"(?:^|[;{}\s])(?:var\s+|let\s+|const\s+)?([A-Za-z_$][\w$]*)\s*=[^=]")
 _TOKEN = re.compile(r"[\w$]+")
-_WHITESPACE_RUN = re.compile(r"\s{3,}")
+# Every ASCII character outside [A-Za-z0-9_$] to a space: on ASCII text,
+# str.split() then yields exactly the _TOKEN runs.
+_ASCII_NON_TOKEN = str.maketrans(
+    {chr(i): " " for i in range(128) if chr(i) not in string.ascii_letters + string.digits + "_$"}
+)
 _LITERAL = re.compile(
     r"//[^\n]*"
     r"|/\*.*?\*/"
@@ -43,14 +57,30 @@ _LITERAL = re.compile(
 )
 
 
-def _blank(match: re.Match) -> str:
-    return "\n".join(" " * len(line) for line in match.group(0).split("\n"))
+def _blanked_views(text: str) -> tuple[str, str]:
+    """strip_literals(text), and the same with every literal's blank cut to
+    two characters, a newline and a space when the literal held a newline.
+    A literal is at least two characters long, so no blank grows."""
+    code, compact = [], []
+    pos = 0
+    for match in _LITERAL.finditer(text):
+        source, literal = text[pos:match.start()], match.group()
+        if "\n" in literal:
+            code += (source, "\n".join(" " * len(line) for line in literal.split("\n")))
+            compact += (source, "\n ")
+        else:
+            code += (source, " " * len(literal))
+            compact += (source, "  ")
+        pos = match.end()
+    code.append(text[pos:])
+    compact.append(text[pos:])
+    return "".join(code), "".join(compact)
 
 
 def strip_literals(text: str) -> str:
     """Replace string literals and comments with spaces, preserving length
     so that offsets into the result index the original text."""
-    return _LITERAL.sub(_blank, text)
+    return _blanked_views(text)[0]
 
 
 def _match_brace(code: str, open_index: int) -> int:
@@ -89,6 +119,8 @@ def token_counts(text: str) -> Counter:
     For an identifier ``name``, ``token_counts(text)[name]`` equals
     ``count_references(name, text)``.
     """
+    if text.isascii():
+        return Counter(text.translate(_ASCII_NON_TOKEN).split())
     return Counter(_TOKEN.findall(text))
 
 
@@ -108,10 +140,10 @@ class ScriptIndex:
     tokens: Mapping[str, int]
 
 
-@functools.lru_cache(maxsize=16)  # per worker: every body of a page, across its solutions
+@functools.cache  # per worker, emptied before each page by experiment._evaluate_page
 def index(text: str) -> ScriptIndex:
     """The ScriptIndex of a script text, blanking it once."""
-    code = strip_literals(text)
+    code, compact = _blanked_views(text)
     cursor = _DepthCursor(code)
     spans = []
     for match in _FUNC_DECL.finditer(code):
@@ -125,9 +157,9 @@ def index(text: str) -> ScriptIndex:
     names = {name for name, _, _ in spans}
     # A _TOP_ASSIGN match either spans a whitespace run whole or uses only its
     # first character (as its final [^=]) or its last (as its delimiter), so
-    # cutting runs to two characters finds the same names, without stepping
-    # through every character of the blanked comments.
-    compact = _WHITESPACE_RUN.sub("  ", code)
+    # every run of two or more characters matches alike. A blank joins a run
+    # of at least two whatever its length, so the compact copy finds the same
+    # names as the code, without stepping through every blanked character.
     cursor = _DepthCursor(compact)
     for match in _TOP_ASSIGN.finditer(compact):
         if cursor.at(match.start(1)) == 0:

@@ -14,7 +14,9 @@ transforms rewrite, and whether an inline script injects. The index depends
 only on the root body's bytes and the root URL. A run evaluates one page
 under every solution in turn, and most solutions leave the root HTML
 unchanged, so the last few indexes are cached by (body, root URL), one
-cache per worker process.
+cache per worker process. A changed root is tokenized again, but the URLs
+it shares with the page's root are resolved once per worker: every raw
+URL is resolved against its base through one memo (_resolve_url).
 parse_page() then binds an index to one page: it builds a fresh Resource
 per referenced resource, taking only its size and missing flag from that
 page's own exchanges, and shares the index's immutable text blocks and
@@ -149,6 +151,16 @@ class ResourceGraph:
         texts += [res.inline_text for res in self.resources if res.kind == KIND_SCRIPT_INLINE and res.inline_text]
         return frozenset().union(*map(jsscan.top_level_defined_names, texts))
 
+    @functools.cached_property
+    def text_tokens(self) -> Counter:
+        """Occurrences of each whitespace-separated word of the text blocks,
+        which text similarity compares. Counted on first use, so a page's
+        original is counted once for all its solutions."""
+        tokens: Counter = Counter()
+        for block in self.text_blocks:
+            tokens.update(block.text.split())
+        return tokens
+
 
 def _collapse_ws(text: str) -> str:
     return " ".join(text.split())
@@ -165,14 +177,23 @@ def _handler_names(on_attrs: dict[str, str]) -> frozenset[str]:
     return frozenset(names)
 
 
+@functools.lru_cache(maxsize=4096)
+def _resolve_url(raw: str, base: str) -> str | None:
+    """normalize_url(raw, base), or None when raw is malformed. Memoised per
+    worker process: a page's variant roots resolve the same URLs as the
+    page's root. The bound keeps a long run's distinct URLs from piling up;
+    the function is pure, so the memo never needs emptying."""
+    try:
+        return normalize_url(raw, base=base)
+    except MalformedUrl:
+        return None
+
+
 def _identity_key(kind: str, attrs: dict[str, str | None], on_attrs: dict[str, str], root_url: str) -> str:
     if kind == "link" and attrs.get("href"):
         href = attrs["href"]
-        try:
-            href = normalize_url(href, base=root_url)
-        except MalformedUrl:
-            pass
-        return f"link:{href}"
+        url = _resolve_url(href, root_url)
+        return f"link:{href if url is None else url}"
     for attr in ("name", "id"):
         if attrs.get(attr):
             return f"{kind}:{attrs[attr]}"
@@ -263,14 +284,8 @@ class _IndexBuilder(HTMLParser):
         self._counter += 1
         return index
 
-    def _resolve(self, raw: str) -> str | None:
-        try:
-            return normalize_url(raw, base=self._root_url)
-        except MalformedUrl:
-            return None
-
     def _add_resource(self, raw_url: str, kind: str, offset: int) -> None:
-        url = self._resolve(raw_url)
+        url = _resolve_url(raw_url, self._root_url)
         if url is not None:
             self.resources.append(IndexedResource(url, kind, self._next_index(), float(offset)))
 
@@ -355,7 +370,8 @@ class _IndexBuilder(HTMLParser):
 
     def _finish_script(self, end: int):
         start, src = self._open_script
-        self.script_spans.append(ScriptSpan(start, end, src, None if src is None else self._resolve(src)))
+        url = None if src is None else _resolve_url(src, self._root_url)
+        self.script_spans.append(ScriptSpan(start, end, src, url))
         self._open_script = None
 
     def _end_raw_element(self, tag):

@@ -35,13 +35,6 @@ class SimilarityScores:
         return (self.text_sim, self.image_sim, self.element_sim)
 
 
-def _text_tokens(graph: ResourceGraph) -> Counter:
-    tokens: Counter = Counter()
-    for block in graph.text_blocks:
-        tokens.update(block.text.split())
-    return tokens
-
-
 def _image_urls(graph: ResourceGraph) -> set[str]:
     return {res.url for res in graph.resources if res.kind == KIND_IMAGE}
 
@@ -75,7 +68,7 @@ def structural_similarity(original: ResourceGraph, variant: ResourceGraph) -> Si
     """DEFAULT_WEIGHTS-weighted text/image/element completeness of the
     variant, each component in [0, 1]."""
     w_text, w_image, w_element = DEFAULT_WEIGHTS
-    text_sim = multiset_jaccard(_text_tokens(original), _text_tokens(variant))
+    text_sim = multiset_jaccard(original.text_tokens, variant.text_tokens)
     image_sim = set_jaccard(_image_urls(original), _image_urls(variant))
     element_sim = histogram_cosine(original.tag_histogram, variant.tag_histogram)
     return SimilarityScores(

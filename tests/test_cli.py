@@ -12,6 +12,7 @@ import pytest
 
 import wasef
 import wasef.experiment
+import wasef.pagemodel
 import wasef.report
 import wasef.similarity
 import wasef.stats
@@ -22,8 +23,11 @@ from wasef.experiment import config_from_dict, load_config, read_results, read_s
 from wasef.fixtures import make_fixtures
 from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import parse_page
+from wasef.similarity import score_graphs
+from wasef.transform import _REGISTRY, TransformSpec, apply_transform, register_subprocess_transform
 
 from conftest import page_from_parts
+from test_extension import COPY_SCRIPT
 
 
 def root_blob(archive: Path, page_id: str) -> Path:
@@ -307,6 +311,62 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "report" / "deltas.csv").is_file()
         variants = tmp_path / "out" / "variants"
         assert (variants / f"{page.page_id}:js-strip" / "manifest.json").is_file()
+
+    def test_unchanged_variants_reuse_the_pages_evaluation(self, tmp_path, monkeypatch):
+        # No third-party script, no dead function and no image: only js-strip
+        # and the subprocess copy (new body objects) change anything.
+        page = page_from_parts(
+            '<html><body><p>one two</p><button name="b" onclick="f()">b</button>'
+            '<script src="a.js"></script></body></html>',
+            assets=[("/a.js", "application/javascript", b"function f(){return 1;}\nf();")],
+        )
+        store_page(page, tmp_path / "archive")
+        copy_path = tmp_path / "copy_transform.py"
+        copy_path.write_text(COPY_SCRIPT)
+        solutions = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale", "ext-copy"]
+        config = config_from_dict(
+            {
+                "archive_dir": str(tmp_path / "archive"),
+                "out_dir": str(tmp_path / "out"),
+                "corpus": {"name": "one", "pages": [page.page_id]},
+                "solutions": solutions,
+            }
+        )
+        calls = {"parse": 0, "simulate": 0, "score": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(wasef.pagemodel, "parse_page", counted("parse", parse_page))
+        monkeypatch.setattr(wasef.experiment, "simulate_load", counted("simulate", simulate_load))
+        monkeypatch.setattr(wasef.similarity, "score_graphs", counted("score", score_graphs))
+        register_subprocess_transform("ext-copy", [sys.executable, str(copy_path)], "test copy")
+        try:
+            result = run_experiment(config)  # one page: evaluated in this process
+            monkeypatch.undo()
+            fresh_metrics, fresh_scores = {}, {}
+            for name in solutions:
+                graph = parse_page(apply_transform(TransformSpec(name=name), page).page)
+                fresh_metrics[name] = simulate_load(graph, NETWORK_PROFILES["3g"], DEVICE_PROFILES["lowend"])
+                fresh_scores[name] = score_graphs(parse_page(page), graph)
+        finally:
+            _REGISTRY.pop("ext-copy")
+        assert result.exit_code == 0
+        # The root, js-strip and ext-copy are parsed; the four unchanged
+        # solutions share one simulation and one score.
+        assert calls == {"parse": 3, "simulate": 3, "score": 3}
+        metrics = {solution: m for _, solution, m in result.records}
+        scores = {solution: s for _, solution, s in result.bundle.similarity_table}
+        assert metrics == fresh_metrics and scores == fresh_scores
+        assert metrics["ext-copy"] == metrics["identity"] != metrics["js-strip"]
+        assert scores["ext-copy"] == scores["identity"]
+        for objects in (metrics.values(), scores.values(), [m.paint_timeline for m in metrics.values()]):
+            assert len({id(obj) for obj in objects}) == len(solutions)
+        for name in solutions:
+            assert (tmp_path / "out" / "variants" / f"{page.page_id}:{name}" / "manifest.json").is_file()
 
     def test_failure_isolated_as_skip(self, tmp_path):
         corpus = make_fixtures(tmp_path / "archive", 2, seed=4)

@@ -2,11 +2,14 @@
 copy of its original reference-counting fixpoint."""
 
 import re
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wasef import jsscan
-from wasef.archive import is_js_content_type, load_page
+from wasef.archive import is_js_content_type, load_page, store_page
+from wasef.experiment import config_from_dict, run_experiment
 from wasef.fixtures import make_fixtures
 from wasef.transform import TransformSpec, apply_transform
 
@@ -137,6 +140,12 @@ js_texts = st.recursive(
     ),
     max_leaves=24,
 )
+# ASCII separators that str.split() treats as whitespace, ASCII controls it
+# does not, and non-ASCII letters and digits that [\w$] matches and
+# characters it does not, so that both token paths are taken.
+token_texts = st.text(
+    alphabet=st.sampled_from(list("ab_$9 .;'\n\t\x0b\x0c\x1c\x1d\x1e\x1f\x01\x7f\xa0é٣€")), max_size=60
+)
 literal_texts = st.text(alphabet=st.sampled_from(list("ab'\"`/*\\\n {}x;é")), max_size=200)
 
 
@@ -158,10 +167,30 @@ def test_token_counts_equal_reference_counts(text):
         assert tokens[name] == jsscan.count_references(name, text)
 
 
+@given(st.one_of(js_texts, token_texts))
+def test_token_counts_equal_every_token_run(text):
+    assert dict(jsscan.index(text).tokens) == Counter(re.findall(r"[\w$]+", text))
+
+
 @given(js_texts)
 def test_index_matches_reference_scanner(text):
     assert jsscan.top_level_function_spans(text) == ref_function_spans(text)
     assert jsscan.top_level_defined_names(text) == ref_defined_names(text)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("a =  /*c*/ b = 1;", {"a", "b"}),
+        ("x = '...'  y = 2", {"x", "y"}),
+        ("a=/*c*/b=1", {"a", "b"}),
+        ("a=''b=1", {"a", "b"}),
+        ("x = `\n\n`\n  y = 2; z =/* */\nw = 3", {"x", "y", "z", "w"}),
+        ("p = 1 // end\nq = 2", {"p", "q"}),
+    ],
+)
+def test_defined_names_where_a_blank_meets_whitespace(text, names):
+    assert jsscan.top_level_defined_names(text) == ref_defined_names(text) == names
 
 
 def test_index_results_are_copies():
@@ -170,6 +199,38 @@ def test_index_results_are_copies():
     jsscan.top_level_defined_names(text).clear()
     assert jsscan.top_level_function_spans(text) == [("a", 0, 15)]
     assert jsscan.top_level_defined_names(text) == {"a", "b"}
+
+
+def test_each_distinct_script_text_of_a_page_is_indexed_once(tmp_path):
+    # 40 external scripts, every other one third-party, each with one dead
+    # function: js-dce rewrites every script and js-block-thirdparty drops half.
+    tags, assets = [], []
+    for i in range(40):
+        url = f"http://{'cdn' if i % 2 else 'site'}.test/s{i}.js"
+        tags.append(f'<script src="{url}"></script>')
+        assets.append((url, "application/javascript", f"function f{i}(){{}}\nfunction dead{i}(){{}}\nf{i}();".encode()))
+    page = page_from_parts(
+        f'<html><body><button name="go" onclick="f0()">go</button>{"".join(tags)}</body></html>', assets=assets
+    )
+    store_page(page, tmp_path / "archive")
+    solutions = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]
+    texts = {
+        ex.body
+        for variant in [page] + [apply_transform(TransformSpec(name=name), page).page for name in solutions]
+        for ex in variant.exchanges.values()
+        if is_js_content_type(ex.content_type)
+    }
+    config = config_from_dict(
+        {
+            "archive_dir": str(tmp_path / "archive"),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "one", "pages": [page.page_id]},
+            "solutions": solutions,
+        }
+    )
+    assert run_experiment(config).exit_code == 0  # one page: evaluated in this process
+    info = jsscan.index.cache_info()
+    assert info.misses == len(texts) == 80 and info.hits > 0
 
 
 def _generated_page(inline, first, second, handler):

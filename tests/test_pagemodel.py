@@ -19,6 +19,8 @@ from wasef.pagemodel import (
     KIND_SCRIPT_INLINE,
     KIND_SCRIPT_SYNC,
     KIND_STYLESHEET,
+    _resolve_url,
+    html_index,
     parse_page,
 )
 from wasef.transform import TransformSpec, apply_transform
@@ -302,6 +304,27 @@ class TestIndexCache:
         assert sizes(parse_page(page)) == [(800, False, 800.0), (400, False, 400.0)]
         assert sizes(parse_page(thinner)) == [(100, False, 100.0), (0, True, 0.0)]
         assert sizes(parse_page(page)) == [(800, False, 800.0), (400, False, 400.0)]
+
+    def test_a_second_root_resolves_shared_urls_through_the_memo_alike(self):
+        markup = (
+            '<img src="http://[bad/x.png"><img src="ok.png">'
+            '<a href="http://[bad/y">y</a><a href="Sub/Page.html">p</a>'
+        )
+        first = page_from_parts(f"<html><body>{markup}first</body></html>")
+        second = page_from_parts(f"<html><body>{markup}second root</body></html>")
+        html_index.cache_clear()
+        _resolve_url.cache_clear()
+        graphs = [parse_page(first), parse_page(second)]
+        info = _resolve_url.cache_info()
+        assert (info.misses, info.hits) == (4, 4)  # the second root resolves nothing anew
+        for graph in graphs:
+            assert [(r.url, r.kind) for r in graph.sub_resources()] == [("http://site.test/ok.png", KIND_IMAGE)]
+            assert [e.identity_key for e in graph.interactive_elements] == [
+                "link:http://[bad/y",
+                "link:http://site.test/Sub/Page.html",
+            ]
+        assert graphs[0].resources[1:] == graphs[1].resources[1:]
+        assert graphs[0].interactive_elements == graphs[1].interactive_elements
 
     def test_one_tokenizer_feed_per_distinct_root_per_run(self, tmp_path, monkeypatch):
         archive = tmp_path / "archive"
