@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import experiment, pagemodel, report, similarity
+from . import experiment, jsscan, pagemodel, report, similarity
 from .archive import Corpus, import_har, load_corpus, load_page, store_page
 from .errors import ConfigError, WasefError
 from .fixtures import make_fixtures
@@ -81,6 +81,7 @@ def cmd_transform(args) -> int:
     page_ids = _corpus(args, archive).pages
     spec = TransformSpec(name=args.solution, params=_parse_params(args.param))
     for page_id in page_ids:
+        jsscan.index.cache_clear()  # the script cache holds this page's texts alone
         variant = apply_transform(spec, load_page(page_id, archive))
         store_page(variant.page, args.out or archive)
         print(f"{variant.page.page_id} bytes_removed={variant.provenance['bytes_removed']}")

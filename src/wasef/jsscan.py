@@ -20,11 +20,12 @@ Two callers ask: js-dce, for spans and tokens, and
 pagemodel.ResourceGraph.defined_names, for the names each script of a
 variant defines. Most solutions leave most script bodies unchanged, so the
 same texts are asked about again and again. index() therefore caches every
-index by text, one cache per worker process, and the pipeline empties it
-before each page (experiment._evaluate_page), so it holds one page's texts
-at a time: each distinct text of a page, however many scripts the page
-has, is scanned once across its solutions. Other long-lived callers empty
-it the same way, with index.cache_clear().
+index by text, one cache per worker process, and every caller that walks a
+corpus empties it before each page (experiment._evaluate_page and
+cli.cmd_transform), so it holds one page's texts at a time: each distinct
+text of a page, however many scripts the page has, is scanned once across
+its solutions. Other long-lived callers empty it the same way, with
+index.cache_clear().
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ injection idioms are flagged as potentially undercounted instead.
 Parsing is split in two steps. html_index() tokenizes a root document once
 into a frozen HtmlIndex: the referenced resources with their kind, resolved
 URL and byte offset, the text blocks, the interactive elements, the tag
-histogram, the script spans and handler-attribute edits that the
-transforms rewrite, and whether an inline script injects. The index depends
+histogram, and the script spans and handler-attribute edits that the
+transforms rewrite, by character offset into the text. The index depends
 only on the root body's bytes and the root URL. A run evaluates one page
 under every solution in turn, and most solutions leave the root HTML
 unchanged, so the last few indexes are cached by (body, root URL), one
@@ -21,10 +21,9 @@ parse_page() then binds an index to one page: it builds a fresh Resource
 per referenced resource, taking only its size and missing flag from that
 page's own exchanges, and shares the index's immutable text blocks and
 interactive elements. Paint weights and render-blocking are derived from
-kind, size and character count, never stored. It also decodes each of the
-page's archived script bodies once, referenced or not, for the undercount
-flag and for the graph's defined_names: the top-level names the page's
-scripts define, which functional similarity reads.
+kind, size and character count, never stored. Whatever is read from
+script text is derived by the graph on first use, from the page's archived
+JS bodies (kept undecoded) and its inline scripts, never by parse_page.
 """
 
 from __future__ import annotations
@@ -116,13 +115,16 @@ class InteractiveElement:
 
 @dataclass
 class ResourceGraph:
+    """A page as parse_page binds it. The script-derived values are cached
+    properties, so a graph that is only simulated decodes no script."""
+
     root: Resource
     resources: list[Resource]  # document order; resources[0] is the root
     text_blocks: list[TextBlock]
     interactive_elements: list[InteractiveElement]
     tag_histogram: dict[str, int] = field(default_factory=dict)
-    maybe_undercounted: bool = False
-    script_texts: tuple[str, ...] = field(default=(), repr=False)  # every archived JS body, decoded
+    # the page's own archived JS body objects, referenced or not, undecoded
+    script_bodies: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
     def sub_resources(self) -> list[Resource]:
         return self.resources[1:]
@@ -143,13 +145,28 @@ class ResourceGraph:
         return self.total_visual_weight <= 0.0
 
     @functools.cached_property
+    def script_texts(self) -> tuple[str, ...]:
+        """Every archived JS body of the page, decoded as decode_body does."""
+        return tuple(decode_body(body)[0] for body in self.script_bodies)
+
+    @functools.cached_property
+    def _script_sources(self) -> tuple[str, ...]:
+        """script_texts, then the text of every non-empty inline script."""
+        inline = (res.inline_text for res in self.resources if res.kind == KIND_SCRIPT_INLINE and res.inline_text)
+        return (*self.script_texts, *inline)
+
+    @functools.cached_property
     def defined_names(self) -> frozenset[str]:
-        """Names defined at top level by the archived scripts and the inline
-        scripts. Scanned on first use: functional similarity asks only of a
-        variant whose original has interactive elements."""
-        texts = [*self.script_texts]
-        texts += [res.inline_text for res in self.resources if res.kind == KIND_SCRIPT_INLINE and res.inline_text]
-        return frozenset().union(*map(jsscan.top_level_defined_names, texts))
+        """Names defined at top level by the page's script sources. Scanned
+        on first use: functional similarity asks only of a variant whose
+        original has interactive elements."""
+        return frozenset().union(*map(jsscan.top_level_defined_names, self._script_sources))
+
+    @functools.cached_property
+    def maybe_undercounted(self) -> bool:
+        """Whether a script source carries an injection idiom, so resources
+        may be missing from the graph."""
+        return any(marker in text for text in self._script_sources for marker in _INJECTION_MARKERS)
 
     @functools.cached_property
     def text_tokens(self) -> Counter:
@@ -238,7 +255,6 @@ class HtmlIndex:
     tag_histogram: Mapping[str, int]
     script_spans: tuple[ScriptSpan, ...]
     handler_edits: tuple[tuple[int, int, str], ...]  # (start, end, start tag without on* attributes)
-    inline_injects: bool  # an inline script carries an injection marker
 
 
 def decode_body(body: bytes) -> tuple[str, str]:
@@ -437,9 +453,6 @@ def html_index(body: bytes, root_url: str) -> HtmlIndex:
         tag_histogram=MappingProxyType(dict(builder.tag_histogram)),
         script_spans=tuple(builder.script_spans),
         handler_edits=tuple(builder.handler_edits),
-        inline_injects=any(
-            marker in res.inline_text for res in resources for marker in _INJECTION_MARKERS
-        ),
     )
 
 
@@ -457,44 +470,27 @@ def parse_page(page: ArchivedPage) -> ResourceGraph:
     root = Resource(url=page.root_url, kind=KIND_HTML, bytes=len(body), discovery_index=0)
     resources = [root]
     for res in index.resources:
-        if res.kind == KIND_SCRIPT_INLINE:
-            resources.append(
-                Resource(
-                    url="",
-                    kind=KIND_SCRIPT_INLINE,
-                    bytes=len(res.inline_text),
-                    discovery_index=res.discovery_index,
-                    doc_offset=res.doc_offset,
-                    inline_text=res.inline_text,
-                )
-            )
-            continue
-        exchange = page.lookup(res.url)
+        inline = res.kind == KIND_SCRIPT_INLINE
+        exchange = None if inline else page.lookup(res.url)
         resources.append(
             Resource(
                 url=res.url,
                 kind=res.kind,
-                bytes=0 if exchange is None else len(exchange.body),
+                bytes=len(res.inline_text) if exchange is None else len(exchange.body),  # 0 when missing
                 discovery_index=res.discovery_index,
                 doc_offset=res.doc_offset,
-                missing=exchange is None,
+                missing=exchange is None and not inline,
+                inline_text=res.inline_text,
             )
         )
-
-    graph = ResourceGraph(
+    return ResourceGraph(
         root=root,
         resources=resources,
         text_blocks=list(index.text_blocks),
         interactive_elements=list(index.interactive_elements),
         tag_histogram=dict(index.tag_histogram),
+        script_bodies=tuple(ex.body for ex in page.exchanges.values() if is_js_content_type(ex.content_type)),
     )
-    graph.script_texts = tuple(
-        decode_body(ex.body)[0] for ex in page.exchanges.values() if is_js_content_type(ex.content_type)
-    )
-    graph.maybe_undercounted = index.inline_injects or any(
-        marker in text for text in graph.script_texts for marker in _INJECTION_MARKERS
-    )
-    return graph
 
 
 def graph_to_dict(graph: ResourceGraph) -> dict:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .archive import write_atomic
 from .errors import StorageError
 from .similarity import SimilarityScores
-from .stats import DeltaRecord, DistributionSummary, DELTA_METRICS, summary_to_dict
+from .stats import DeltaRecord, DistributionSummary, DELTA_METRICS, ecdf, summary_to_dict
 
 PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -42,8 +42,6 @@ class ReportBundle:
 
 def _fmt(value) -> str:
     """Shortest decimal that round-trips; integers stay integral."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
@@ -285,14 +283,12 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         struct.append(scores.structural)
         func.append(scores.functional or 0.0)
     if sim_by_solution:
-        from .stats import ecdf as _ecdf  # local import keeps module deps one-way
-
         struct_series = [
-            (_text(solution), _ecdf(values[0]))
+            (_text(solution), ecdf(values[0]))
             for solution, values in sorted(sim_by_solution.items())
         ]
         func_series = [
-            (_text(solution), _ecdf(values[1]))
+            (_text(solution), ecdf(values[1]))
             for solution, values in sorted(sim_by_solution.items())
         ]
         panels = _ecdf_panel("structural similarity ECDF", struct_series, "score")

@@ -12,6 +12,7 @@ import pytest
 
 import wasef
 import wasef.experiment
+import wasef.jsscan
 import wasef.pagemodel
 import wasef.report
 import wasef.similarity
@@ -542,6 +543,16 @@ class TestCliSurface:
         assert main(["similarity", "--archive", str(archive), "--page", pid, "--solution", "identity"]) == 0
         scores = json.loads(capsys.readouterr().out)
         assert scores["structural"] == 1.0 and scores["functional"] == 1.0
+
+    def test_corpus_transform_empties_the_script_cache_before_each_page(self, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        corpus = make_fixtures(archive, 3, seed=9, profile="js_heavy")
+        assert main(["transform", "--archive", str(archive), "--corpus", "fixtures",
+                     "--solution", "js-dce", "--out", str(tmp_path / "variants")]) == 0
+        after_corpus = wasef.jsscan.index.cache_info().currsize
+        wasef.jsscan.index.cache_clear()
+        apply_transform(TransformSpec(name="js-dce"), load_page(corpus.pages[-1], archive))
+        assert after_corpus == wasef.jsscan.index.cache_info().currsize > 0
 
     def test_transform_list(self, capsys):
         assert main(["transform", "--list", "--archive", "unused"]) == 0

@@ -178,6 +178,22 @@ def test_injection_flag():
     assert parse_page(page).maybe_undercounted is True
     plain = page_from_parts("<html><body><script>var x = 1;</script>text</body></html>")
     assert parse_page(plain).maybe_undercounted is False
+    injecting = ("/a.js", "application/javascript", b"var i = new Image(); i.src = 'b.png';")
+    external = page_from_parts('<html><body><script src="a.js"></script>text</body></html>', [injecting])
+    assert parse_page(external).maybe_undercounted is True
+    unreferenced = page_from_parts("<html><body><script>var x = 1;</script>text</body></html>", [injecting])
+    assert parse_page(unreferenced).maybe_undercounted is True
+
+
+def test_parse_and_simulate_leave_script_values_uncomputed():
+    page = page_from_parts(
+        '<html><body><script src="a.js"></script><script>var s = new Image();</script>text</body></html>',
+        assets=[("/a.js", "application/javascript", b"function f() {}")],
+    )
+    graph = parse_page(page)
+    simulate_load(graph, NETWORK_PROFILES["3g"], DEVICE_PROFILES["lowend"])
+    assert "script_texts" not in vars(graph) and "maybe_undercounted" not in vars(graph)
+    assert graph.script_texts == ("function f() {}",) and graph.maybe_undercounted is True
 
 
 def test_request_count_dedupes_urls():

@@ -499,6 +499,7 @@ def assert_graph_matches_reference(page):
     assert graph_to_dict(graph) == graph_to_dict(reference)
     assert _graph_details(graph) == _graph_details(reference)
     assert graph == reference
+    assert graph.script_texts == reference.script_texts
     assert graph.defined_names == reference.defined_names
 
 
