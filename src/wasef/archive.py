@@ -17,6 +17,13 @@ its whole new one, and a blob's final name never holds partial bytes. They
 are not fsync'd: atomic against a writer that fails or is killed, not
 durable across power loss. Blobs are never garbage-collected: re-storing a
 page with changed bodies leaves its old blobs in place.
+
+A body stored just as load_page read it is instead hard-linked to the blob
+it was read from, so one file may be a blob of two roots (an archive and
+its run's variants). That is safe because blobs are only ever replaced
+whole, by write_atomic, never written in place. A garbage collector must
+therefore work per root, by the names that root's manifests hold, never by
+link count.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import logging
 import os
 import re
+import stat
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +88,9 @@ class ArchivedExchange:
     # (body, its hex SHA-256). sha256() reuses the digest only while ``body``
     # is still that very object, since callers may reassign ``body``.
     digest_cache: tuple[bytes, str] | None = field(default=None, compare=False, repr=False)
+    # (body, the blob file load_page read and verified it from). store_page
+    # links that file only while ``body`` is still that very object.
+    blob_file: tuple[bytes, str] | None = field(default=None, compare=False, repr=False)
 
     def sha256(self) -> str:
         """Hex SHA-256 of the body, computed at most once per body object."""
@@ -372,16 +383,43 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _put_blob(ex: ArchivedExchange, path: str) -> None:
+    """Put ``ex``'s body at ``path``, a blob name that holds nothing yet. While
+    the body is still the object load_page read, hard-link the blob it was
+    read from (never following a symbolic link); else, or when that fails
+    or links something other than a regular file of the body's length,
+    write it with write_atomic."""
+    source = ex.blob_file
+    if source is not None and source[0] is ex.body:
+        try:
+            os.link(source[1], path, follow_symlinks=False)
+        except FileExistsError:
+            return  # a concurrent store put the blob there
+        except OSError:
+            pass  # EXDEV, EPERM, EMLINK, ...: write it instead
+        else:
+            linked = os.lstat(path)
+            if stat.S_ISREG(linked.st_mode) and linked.st_size == len(ex.body):
+                return
+            # the loaded blob's name now holds something else, such as a symbolic link
+    write_atomic(path, ex.body)
+
+
 def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     """Write a page under ``root_dir`` and return the page id.
 
-    Each body goes to ``<root_dir>/blobs/<sha256>``, written only when no
+    Each body goes to ``<root_dir>/blobs/<sha256>``, put there only when no
     blob of that digest exists yet; then ``<root_dir>/<page_id>/manifest.json``
     lists the exchanges in order, each naming its body as
     ``body_file: ../blobs/<sha256>`` with ``body_sha256`` and ``body_len``.
-    Every file is written to a temporary name and moved into place with
-    os.replace, the manifest last, so a failed store leaves the page's
-    previous version loadable. A blob already present under its digest is
+    A body that is still the object load_page read becomes a hard link to
+    the blob it was read from (see _put_blob), so a stored blob may be one
+    file shared with the archive: safe, since blobs are only ever replaced
+    whole, by write_atomic, and the reason a garbage collector must work
+    per root by name, never by link count. Every file written goes to a
+    temporary name and is moved into place with os.replace, the manifest
+    last, so a failed store leaves the page's previous version loadable.
+    A blob already present under its digest is
     trusted as is (load_page verifies it), and blobs no manifest names any
     more are never removed. Re-storing the same page produces identical
     bytes. The manifest is written without indentation, since CPython's C
@@ -401,7 +439,7 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
         for ex in page.exchanges.values():
             digest = ex.sha256()
             if not os.path.exists(blob_prefix + digest):
-                write_atomic(blob_prefix + digest, ex.body)
+                _put_blob(ex, blob_prefix + digest)
             manifest_exchanges.append(
                 {
                     "method": ex.method,
@@ -430,8 +468,15 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     return page.page_id
 
 
+# What opening a name through _no_follow raises when no regular file is there.
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
+
+
 def _no_follow(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NOFOLLOW)
+    """Open ``path`` unless its last component is a symbolic link (ELOOP).
+    O_NONBLOCK makes a FIFO open and read as empty instead of waiting for a
+    writer; it changes nothing for a regular file."""
+    return os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK)
 
 
 def _is_str(value) -> bool:
@@ -489,25 +534,27 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
     Every manifest field must be present and of its type (a body_sha256 is
     64 lowercase hex digits), and every body_file must be exactly
     ``../blobs/<body_sha256>``; anything else raises CorruptArchive, as do a
-    page id that is not one path component, a missing blob, and a blob that
-    is a symbolic link. Only that one name per body is ever read, so a
-    manifest cannot lead a load outside the blob store. Archives in the old
-    per-page ``bodies/<n>.bin`` layout are not read: their CorruptArchive
+    page id that is not one path component, and a manifest or blob that is
+    missing or a symbolic link. Only that one name per body is ever read,
+    so a manifest cannot lead a load outside the blob store. Archives in
+    the old per-page ``bodies/<n>.bin`` layout are not read: their CorruptArchive
     says to store the pages again. A length or digest mismatch raises
-    ChecksumMismatch. Each exchange keeps its verified digest, so storing it
-    again does not hash it again.
+    ChecksumMismatch. Each exchange keeps its verified digest and its blob's
+    path, so storing it again neither hashes nor writes it again.
     """
     problem = page_id_problem(page_id)
     if problem:
         raise CorruptArchive(problem)
     root = os.fspath(root_dir)
     manifest_path = os.path.join(root, page_id, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
-        raise CorruptArchive(f"{page_id}: missing {MANIFEST_NAME}")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8", opener=_no_follow) as fh:
             manifest = json.loads(fh.read())
-    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            raise CorruptArchive(f"{page_id}: {MANIFEST_NAME} is missing or not a regular file") from None
+        raise CorruptArchive(f"{page_id}: unreadable manifest: {exc}") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise CorruptArchive(f"{page_id}: unreadable manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise CorruptArchive(f"{page_id}: manifest is not an object")
@@ -536,7 +583,7 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
             with open(blob_prefix + digest, "rb", buffering=0, opener=_no_follow) as fh:
                 body = fh.readall()
         except OSError as exc:
-            if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP):
+            if exc.errno in _NOT_A_FILE:
                 raise CorruptArchive(f"{where}: blob {BLOBS_DIR}/{digest} is missing or not a regular file") from None
             raise StorageError(f"{where}: cannot read blob {BLOBS_DIR}/{digest}: {exc}") from exc
         if len(body) != entry["body_len"]:
@@ -553,6 +600,7 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
             body=body,
             content_type=entry["content_type"],
             digest_cache=(body, digest),
+            blob_file=(body, blob_prefix + digest),
         )
 
     page = ArchivedPage(

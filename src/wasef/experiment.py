@@ -23,11 +23,14 @@ Pages are independent, so both map _evaluate_page over the corpus through
 one helper (_pair_rows). With more than one usable CPU it runs in a new
 pool of forked workers, one per usable CPU (os.sched_getaffinity) and never
 more than there are pages, each task a chunk of len(pages) // (4 * workers)
-pages or one. Forking lets workers inherit transforms registered at run
-time. With one usable CPU or one page, or where fork is not offered, the
-pages run in this process and no process is started. The parent merges the
-rows in corpus order and keeps sorting, bundling and writing, so every
-output byte is the same whatever the worker count.
+pages or one. The pool takes the pages largest stored manifest first, ties
+in corpus order, so that a large page late in the corpus does not keep one
+worker busy while the others sit idle. Forking lets workers inherit
+transforms registered at run time. With one usable CPU or one page, or
+where fork is not offered, the pages run in this process, in corpus order,
+and no process is started. Whatever the dispatch order, the parent merges
+the rows and logs the skips in corpus order and keeps sorting, bundling and
+writing, so every output byte is the same whatever the worker count.
 
 (config, archive) fully determines every output byte. Failures are skips,
 each logged at WARNING by the parent as it merges the page's result: a
@@ -399,11 +402,23 @@ def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
     return rows, skips, 0
 
 
-def _map_pages(evaluate_page, pages: list[str]):
+def _manifest_size(archive_dir: str, page_id: str) -> int:
+    """The byte size of a page's stored manifest.json, or 0 when it cannot
+    be read: a cheap stand-in for how long the page takes to evaluate."""
+    try:
+        return os.stat(os.path.join(archive_dir, page_id, archive.MANIFEST_NAME), follow_symlinks=False).st_size
+    except OSError:
+        return 0
+
+
+def _map_pages(evaluate_page, pages: list[str], archive_dir: str):
     """evaluate_page over pages, results in page order: in a new forked
     pool of min(usable CPUs, pages) workers when that is above 1, each task
     a chunk of max(1, len(pages) // (4 * workers)) pages, else in this
-    process. An exception a worker raises is raised here."""
+    process. The pool takes the pages largest manifest first, ties in page
+    order, so no long page starts last while the other workers sit idle
+    (Graham's longest-processing-time rule). An exception a worker raises
+    is raised here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(pages))
     if workers < 2 or not hasattr(os, "fork"):
@@ -414,8 +429,15 @@ def _map_pages(evaluate_page, pages: list[str]):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    sizes = [_manifest_size(archive_dir, page_id) for page_id in pages]
+    order = sorted(range(len(pages)), key=lambda index: -sizes[index])  # stable: ties keep page order
+    results = [None] * len(pages)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(evaluate_page, pages, chunksize=max(1, len(pages) // (4 * workers)))
+        largest_first = pool.map(evaluate_page, [pages[index] for index in order],
+                                 chunksize=max(1, len(pages) // (4 * workers)))
+        for index, result in zip(order, largest_first):
+            results[index] = result
+    yield from results
 
 
 def _pair_rows(config: ExperimentConfig, full: bool, skips: _Skips) -> list[tuple]:
@@ -425,7 +447,7 @@ def _pair_rows(config: ExperimentConfig, full: bool, skips: _Skips) -> list[tupl
     pagemodel.html_index.cache_clear()
     rows = []
     evaluate_page = partial(_evaluate_page, config, full)
-    for page_rows, page_skips, below_floor in _map_pages(evaluate_page, config.corpus.pages):
+    for page_rows, page_skips, below_floor in _map_pages(evaluate_page, config.corpus.pages, config.archive_dir):
         rows += page_rows
         skips.below_floor += below_floor
         for skip in page_skips:
@@ -440,9 +462,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Pages are evaluated in a forked worker pool, one worker per usable CPU
     and at most one per page, in chunks of len(pages) // (4 * workers)
-    pages or one; with one usable CPU they run in this process. Sorting,
-    bundling and writing happen here, so no output byte depends on the
-    worker count."""
+    pages or one, handed out largest stored manifest first; with one usable
+    CPU they run in this process. Results are merged, and skips logged, in
+    corpus order, and sorting, bundling and writing happen here, so no
+    output byte depends on the worker count or the dispatch order."""
     out_dir = Path(config.out_dir)
     variants_dir = out_dir / "variants"
     try:

@@ -73,7 +73,7 @@ def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls:
             body = new_root_body
         elif url in replaced_bodies:
             body = replaced_bodies[url]
-        unchanged = body == ex.body  # then keep the original object, whose digest is known
+        unchanged = body == ex.body  # then keep the original object, whose digest and blob are known
         exchanges[(method, url)] = ArchivedExchange(
             method=ex.method,
             url=ex.url,
@@ -82,6 +82,7 @@ def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls:
             body=ex.body if unchanged else body,
             content_type=ex.content_type,
             digest_cache=ex.digest_cache if unchanged else None,
+            blob_file=ex.blob_file if unchanged else None,
         )
     return ArchivedPage(
         page_id=page.page_id,

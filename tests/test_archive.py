@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -635,6 +636,105 @@ class TestStoreLoad:
         (tmp_path / "archive").mkdir()
         with pytest.raises(CorruptArchive):
             load_page(f"../elsewhere/{page.page_id}", tmp_path / "archive")
+
+    def test_symlinked_manifest_is_corrupt(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>")
+        pid = store_page(page, tmp_path / "archive")
+        manifest = tmp_path / "archive" / pid / "manifest.json"
+        (tmp_path / "copy.json").write_bytes(manifest.read_bytes())  # a valid manifest outside the root
+        manifest.unlink()
+        manifest.symlink_to(tmp_path / "copy.json")
+        with pytest.raises(CorruptArchive, match="manifest.json is missing or not a regular file"):
+            load_page(pid, tmp_path / "archive")
+
+    def test_manifest_that_is_a_fifo_is_corrupt_not_waited_on(self, tmp_path):
+        (tmp_path / "p").mkdir()
+        fifo = tmp_path / "p" / "manifest.json"
+        os.mkfifo(fifo)
+        raised = []
+        loader = threading.Thread(target=lambda: raised.append(pytest.raises(CorruptArchive, load_page, "p", tmp_path)))
+        loader.start()
+        loader.join(10)
+        waited = loader.is_alive()
+        if waited:  # a load that waits for a writer: open one, so that the load ends
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            loader.join()
+        assert not waited
+        assert raised and raised[0].match("unreadable manifest")
+
+
+class TestLinkedBlobs:
+    """A body stored as load_page read it is a hard link to its archive blob."""
+
+    CSS = b"body{margin:0}"
+
+    def _loaded(self, tmp_path):
+        page = page_from_parts(
+            "<html><body><script src='/a.js'></script>x</body></html>",
+            assets=[("/a.js", "text/javascript", b"var a = 1;"), ("/s.css", "text/css", self.CSS)],
+        )
+        return page, load_page(store_page(page, tmp_path / "archive"), tmp_path / "archive")
+
+    def test_unchanged_blobs_share_the_archive_inode(self, tmp_path):
+        page, loaded = self._loaded(tmp_path)
+        variant = apply_transform(TransformSpec(name="js-strip"), loaded).page
+        pid = store_page(variant, tmp_path / "variants")
+        assert load_page(pid, tmp_path / "variants") == variant
+        stripped_root = variant.root_exchange().body
+        for ex in variant.exchanges.values():
+            stored = blob_path(tmp_path / "variants", ex.body).stat()
+            if ex.body is stripped_root:  # the one body js-strip changed: written, not linked
+                assert stored.st_nlink == 1
+            else:
+                assert stored.st_ino == blob_path(tmp_path / "archive", ex.body).stat().st_ino
+                assert stored.st_nlink == 2
+        assert (tmp_path / "variants" / "blobs").stat().st_dev == (tmp_path / "archive" / "blobs").stat().st_dev
+
+    @pytest.mark.parametrize("failure", [errno.EXDEV, errno.EPERM, errno.EMLINK, errno.EEXIST], ids=errno.errorcode.get)
+    def test_a_failed_link_still_stores_the_right_bytes(self, tmp_path, monkeypatch, failure):
+        page, loaded = self._loaded(tmp_path)
+        real_link = os.link
+
+        def failing_link(src, dst, *, follow_symlinks=True):
+            if failure == errno.EEXIST:  # a concurrent store puts the blob there first
+                real_link(src, dst, follow_symlinks=follow_symlinks)
+            raise OSError(failure, os.strerror(failure), dst)
+
+        monkeypatch.setattr(archive.os, "link", failing_link)
+        pid = store_page(loaded, tmp_path / "variants")
+        assert load_page(pid, tmp_path / "variants") == page
+        for ex in page.exchanges.values():
+            stored = blob_path(tmp_path / "variants", ex.body)
+            assert stored.read_bytes() == ex.body
+            assert stored.stat().st_nlink == (2 if failure == errno.EEXIST else 1)
+        assert blob_names(tmp_path / "variants") == {ex.sha256() for ex in page.exchanges.values()}
+
+    def test_a_replaced_body_is_written_not_linked(self, tmp_path, monkeypatch):
+        page, loaded = self._loaded(tmp_path)
+        css = loaded.lookup("http://site.test/s.css")
+        css.body = b"body{margin:1}"  # its digest_cache and blob_file now name another object
+        linked = []
+        real_link = os.link
+        monkeypatch.setattr(archive.os, "link", lambda src, dst, **kw: linked.append(dst) or real_link(src, dst, **kw))
+        pid = store_page(loaded, tmp_path / "variants")
+        assert load_page(pid, tmp_path / "variants").lookup(css.url).body == b"body{margin:1}"
+        assert blob_path(tmp_path / "variants", b"body{margin:1}").stat().st_nlink == 1
+        assert len(linked) == len(page.exchanges) - 1
+        assert str(blob_path(tmp_path / "variants", b"body{margin:1}")) not in linked
+
+    def test_a_symlink_swapped_in_after_load_is_never_followed(self, tmp_path):
+        page, loaded = self._loaded(tmp_path)
+        secret = tmp_path / "secret"
+        secret.write_bytes(b"not a blob of this archive")
+        archived = blob_path(tmp_path / "archive", self.CSS)
+        archived.unlink()
+        archived.symlink_to(secret)
+        pid = store_page(loaded, tmp_path / "variants")
+        stored = blob_path(tmp_path / "variants", self.CSS)
+        assert not stored.is_symlink() and stored.stat().st_nlink == 1
+        assert stored.read_bytes() == self.CSS
+        assert load_page(pid, tmp_path / "variants") == page
+        assert secret.stat().st_nlink == 1
 
 
 class TestCorpus:

@@ -474,6 +474,49 @@ class TestWorkerPool:
         assert pooled_warnings == serial_warnings
         assert pooled.records == serial.records and len(pooled.records) == 4 * 3
 
+    def test_pages_go_out_largest_first_and_merge_in_corpus_order(self, tmp_path, monkeypatch, caplog):
+        submitted = []  # each pool's pages, in the order they were handed out
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, pages, **kwargs):
+                submitted.append(list(pages))
+                return super().map(fn, pages, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        archive_dir = tmp_path / "archive"
+        fixture_pages = make_fixtures(archive_dir, 5, seed=3).pages
+        # Two pages whose manifests are the same size: same-length hosts, bodies and URLs.
+        twins = [store_page(page_from_parts(f"<p>{host[0]}</p>", host=host), archive_dir)
+                 for host in ("a.test", "b.test")]
+        broken = fixture_pages[1]
+        root_blob(archive_dir, broken).unlink()
+
+        def size(page_id):
+            return (archive_dir / page_id / "manifest.json").stat().st_size
+
+        assert size(twins[0]) == size(twins[1])
+        smallest_first = sorted(fixture_pages + twins, key=lambda page_id: (size(page_id), page_id))
+        twins.sort(key=smallest_first.index)
+        largest_first = sorted(smallest_first, key=size, reverse=True)  # stable: ties keep corpus order
+        assert largest_first.index(twins[0]) + 1 == largest_first.index(twins[1])
+        assert largest_first != smallest_first[::-1]
+
+        outcomes = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            caplog.clear()
+            out = tmp_path / f"out{len(cpus)}"
+            result = run_experiment(self._config(archive_dir, out, smallest_first))
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            outcomes.append((result.records, result.bundle.skip_report, warnings, result.exit_code,
+                             (out / "results.json").read_bytes()))
+        assert submitted == [largest_first, largest_first]  # the one-CPU run started no pool
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        records, skip_report, warnings, exit_code, _ = outcomes[0]
+        assert [page_id for page_id, _, _ in records[::3]] == sorted(set(smallest_first) - {broken})
+        assert [skip[:2] for skip in skip_report] == [(broken, "*")]
+        assert len(warnings) == 1 and broken in warnings[0] and exit_code == 3
+
     @pytest.mark.parametrize("cpus, pages", [({0}, 4), ({0, 1}, 1)])
     def test_one_worker_starts_no_process(self, tmp_path, monkeypatch, cpus, pages):
         def no_process(*args, **kwargs):
