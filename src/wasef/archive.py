@@ -20,10 +20,14 @@ page with changed bodies leaves its old blobs in place.
 
 A body stored just as load_page read it is instead hard-linked to the blob
 it was read from, so one file may be a blob of two roots (an archive and
-its run's variants). That is safe because blobs are only ever replaced
-whole, by write_atomic, never written in place. A garbage collector must
-therefore work per root, by the names that root's manifests hold, never by
-link count.
+its run's variants). Wasef's own code never writes a blob in place: it only
+ever replaces one whole, by write_atomic, so the link cannot change the
+other root's blob through wasef. A program that writes into a stored blob
+in place would change both; a store handed to one (the temporary store of
+a subprocess transform) must therefore hold no links, and blobs under a
+run's ``variants/`` must not be edited by hand. A garbage collector must
+work per root, by the names that root's manifests hold, never by link
+count.
 """
 
 from __future__ import annotations
@@ -85,18 +89,17 @@ class ArchivedExchange:
     headers: list[tuple[str, str]]
     body: bytes
     content_type: str
-    # (body, its hex SHA-256). sha256() reuses the digest only while ``body``
-    # is still that very object, since callers may reassign ``body``.
-    digest_cache: tuple[bytes, str] | None = field(default=None, compare=False, repr=False)
-    # (body, the blob file load_page read and verified it from). store_page
-    # links that file only while ``body`` is still that very object.
-    blob_file: tuple[bytes, str] | None = field(default=None, compare=False, repr=False)
+    # (body, its hex SHA-256, the blob file load_page read and verified it
+    # from or None). sha256() reuses the digest, and store_page links the
+    # blob, only while ``body`` is still that very object, since callers may
+    # reassign ``body``.
+    digest_cache: tuple[bytes, str, str | None] | None = field(default=None, compare=False, repr=False)
 
     def sha256(self) -> str:
         """Hex SHA-256 of the body, computed at most once per body object."""
         cache = self.digest_cache
         if cache is None or cache[0] is not self.body:
-            cache = self.digest_cache = (self.body, hashlib.sha256(self.body).hexdigest())
+            cache = self.digest_cache = (self.body, hashlib.sha256(self.body).hexdigest(), None)
         return cache[1]
 
 
@@ -384,24 +387,26 @@ def write_atomic(path: str, data: bytes) -> None:
 
 
 def _put_blob(ex: ArchivedExchange, path: str) -> None:
-    """Put ``ex``'s body at ``path``, a blob name that holds nothing yet. While
-    the body is still the object load_page read, hard-link the blob it was
-    read from (never following a symbolic link); else, or when that fails
-    or links something other than a regular file of the body's length,
-    write it with write_atomic."""
-    source = ex.blob_file
-    if source is not None and source[0] is ex.body:
+    """Put ``ex``'s body at ``path``, a blob name that holds no file yet.
+    While the body is still the object load_page read, hard-link the blob it
+    was read from (never following a symbolic link). Whether that links,
+    fails (EXDEV, EPERM, EMLINK, ...) or finds the name taken (a concurrent
+    store, or a dangling symbolic link), the body is then written with
+    write_atomic unless the name holds a regular file of the body's
+    length."""
+    cache = ex.digest_cache
+    if cache is not None and cache[0] is ex.body and cache[2] is not None:
         try:
-            os.link(source[1], path, follow_symlinks=False)
-        except FileExistsError:
-            return  # a concurrent store put the blob there
+            os.link(cache[2], path, follow_symlinks=False)
         except OSError:
-            pass  # EXDEV, EPERM, EMLINK, ...: write it instead
+            pass  # what is at the name now is checked below
+        try:
+            there = os.lstat(path)
+        except OSError:
+            pass
         else:
-            linked = os.lstat(path)
-            if stat.S_ISREG(linked.st_mode) and linked.st_size == len(ex.body):
+            if stat.S_ISREG(there.st_mode) and there.st_size == len(ex.body):
                 return
-            # the loaded blob's name now holds something else, such as a symbolic link
     write_atomic(path, ex.body)
 
 
@@ -414,12 +419,13 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     ``body_file: ../blobs/<sha256>`` with ``body_sha256`` and ``body_len``.
     A body that is still the object load_page read becomes a hard link to
     the blob it was read from (see _put_blob), so a stored blob may be one
-    file shared with the archive: safe, since blobs are only ever replaced
-    whole, by write_atomic, and the reason a garbage collector must work
-    per root by name, never by link count. Every file written goes to a
-    temporary name and is moved into place with os.replace, the manifest
-    last, so a failed store leaves the page's previous version loadable.
-    A blob already present under its digest is
+    file shared with the archive. Wasef only ever replaces a blob whole, by
+    write_atomic, so that is safe within wasef; a root that another program
+    may write into in place must be stored from exchanges whose
+    digest_cache names no blob (see the module docstring). Every file
+    written goes to a temporary name and is moved into place with
+    os.replace, the manifest last, so a failed store leaves the page's
+    previous version loadable. A blob already present under its digest is
     trusted as is (load_page verifies it), and blobs no manifest names any
     more are never removed. Re-storing the same page produces identical
     bytes. The manifest is written without indentation, since CPython's C
@@ -599,8 +605,7 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
             headers=[(name, value) for name, value in entry["headers"]],
             body=body,
             content_type=entry["content_type"],
-            digest_cache=(body, digest),
-            blob_file=(body, blob_prefix + digest),
+            digest_cache=(body, digest, blob_prefix + digest),
         )
 
     page = ArchivedPage(

@@ -13,7 +13,7 @@ import math
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -82,7 +82,6 @@ def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls:
             body=ex.body if unchanged else body,
             content_type=ex.content_type,
             digest_cache=ex.digest_cache if unchanged else None,
-            blob_file=ex.blob_file if unchanged else None,
         )
     return ArchivedPage(
         page_id=page.page_id,
@@ -269,7 +268,10 @@ def register_subprocess_transform(
         import os
 
         with tempfile.TemporaryDirectory(prefix="wasef-xform-") as tmp:
-            store_page(page, tmp)
+            # The command may write into the store's blobs in place, so none
+            # may be a hard link to the archive's (see ``archive``).
+            exchanges = {key: replace(ex, digest_cache=None) for key, ex in page.exchanges.items()}
+            store_page(replace(page, exchanges=exchanges), tmp)
             env = dict(os.environ)
             for key, value in params.items():
                 env[f"WASEF_PARAM_{key.upper()}"] = value

@@ -4,6 +4,9 @@ import hashlib
 import json
 import os
 import random
+import sys
+import tempfile
+import textwrap
 import threading
 
 import pytest
@@ -29,9 +32,10 @@ from wasef.errors import (
     MalformedUrl,
     NoRootDocument,
     StorageError,
+    TransformFailed,
 )
 from wasef.experiment import config_from_dict, run_experiment
-from wasef.transform import TransformSpec, apply_transform
+from wasef.transform import _REGISTRY, TransformSpec, apply_transform, register_subprocess_transform
 
 from conftest import page_from_parts
 
@@ -712,7 +716,7 @@ class TestLinkedBlobs:
     def test_a_replaced_body_is_written_not_linked(self, tmp_path, monkeypatch):
         page, loaded = self._loaded(tmp_path)
         css = loaded.lookup("http://site.test/s.css")
-        css.body = b"body{margin:1}"  # its digest_cache and blob_file now name another object
+        css.body = b"body{margin:1}"  # its digest_cache now names another object
         linked = []
         real_link = os.link
         monkeypatch.setattr(archive.os, "link", lambda src, dst, **kw: linked.append(dst) or real_link(src, dst, **kw))
@@ -735,6 +739,50 @@ class TestLinkedBlobs:
         assert stored.read_bytes() == self.CSS
         assert load_page(pid, tmp_path / "variants") == page
         assert secret.stat().st_nlink == 1
+
+    def test_a_dangling_symlink_at_the_blob_name_is_replaced(self, tmp_path):
+        page, loaded = self._loaded(tmp_path)
+        stored = blob_path(tmp_path / "variants", self.CSS)
+        stored.parent.mkdir(parents=True)
+        stored.symlink_to(tmp_path / "nowhere")
+        pid = store_page(loaded, tmp_path / "variants")
+        assert not stored.is_symlink() and stored.read_bytes() == self.CSS
+        assert stored.stat().st_nlink == 1  # the name was taken, so the body was written
+        assert load_page(pid, tmp_path / "variants") == page
+
+    # Overwrites every blob of the store it is handed in place, then offers
+    # that page as the variant.
+    SCRIBBLE_SCRIPT = textwrap.dedent(
+        """
+        import os, sys
+        page_dir = sys.stdin.readline().strip()
+        blobs = os.path.join(os.path.dirname(page_dir), "blobs")
+        for name in os.listdir(blobs):
+            with open(os.path.join(blobs, name), "r+b") as fh:
+                size = len(fh.read())
+                fh.seek(0)
+                fh.write(b"x" * size)
+        print(page_dir)
+        """
+    )
+
+    def test_a_subprocess_transform_that_writes_blobs_in_place_leaves_the_archive_intact(self, tmp_path, monkeypatch):
+        page, loaded = self._loaded(tmp_path)
+        before = {path.name: path.read_bytes() for path in (tmp_path / "archive" / "blobs").iterdir()}
+        script = tmp_path / "scribble.py"
+        script.write_text(self.SCRIBBLE_SCRIPT)
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))  # the archive's filesystem
+        register_subprocess_transform("ext-scribble", [sys.executable, str(script)], "writes blobs in place")
+        try:
+            with pytest.raises(TransformFailed, match="digest mismatch"):  # the command did write
+                apply_transform(TransformSpec(name="ext-scribble"), loaded)
+        finally:
+            _REGISTRY.pop("ext-scribble")
+        after = {path.name: path.read_bytes() for path in (tmp_path / "archive" / "blobs").iterdir()}
+        assert after == before
+        assert all(hashlib.sha256(body).hexdigest() == name for name, body in after.items())
+        assert load_page(loaded.page_id, tmp_path / "archive") == page
 
 
 class TestCorpus:
