@@ -10,6 +10,12 @@ bytes. A manifest names each body by its digest only, so loading reads
 nothing but ``<root>/<page_id>/manifest.json`` and ``<root>/blobs/<hex>``,
 and loads fail closed on any digest or length mismatch.
 
+Page ids and corpus names (``<root>/corpora/<name>.json``) are single path
+components, and every stored name is read through _open_stored: the root
+may be a symbolic link, but nothing below it may be, so a linked page
+directory, ``blobs/``, ``corpora/`` or file reads as missing. Stores do not
+yet refuse a linked page directory or ``blobs/``.
+
 Stores are atomic. Each blob and each manifest is written under a
 writer-unique temporary name and moved into place with os.replace, blobs
 first and the manifest last, so a reader sees a page's previous manifest or
@@ -386,36 +392,41 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _is_blob_of(path: str, size: int) -> bool:
+    """Whether ``path`` is a regular file of ``size`` bytes, not a symbolic link."""
+    try:
+        there = os.lstat(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(there.st_mode) and there.st_size == size
+
+
 def _put_blob(ex: ArchivedExchange, path: str) -> None:
-    """Put ``ex``'s body at ``path``, a blob name that holds no file yet.
-    While the body is still the object load_page read, hard-link the blob it
-    was read from (never following a symbolic link). Whether that links,
-    fails (EXDEV, EPERM, EMLINK, ...) or finds the name taken (a concurrent
-    store, or a dangling symbolic link), the body is then written with
-    write_atomic unless the name holds a regular file of the body's
-    length."""
+    """Put ``ex``'s body at its blob name ``path`` unless a regular file of
+    the body's length is there. While the body is still the object load_page
+    read, first hard-link the blob it was read from (never following a
+    symbolic link). Whether that links, fails (EXDEV, EPERM, EMLINK, ...) or
+    finds the name taken (a concurrent store, or a symbolic link), the body
+    is then written with write_atomic unless the name now holds such a file."""
+    if _is_blob_of(path, len(ex.body)):
+        return
     cache = ex.digest_cache
     if cache is not None and cache[0] is ex.body and cache[2] is not None:
         try:
             os.link(cache[2], path, follow_symlinks=False)
         except OSError:
             pass  # what is at the name now is checked below
-        try:
-            there = os.lstat(path)
-        except OSError:
-            pass
-        else:
-            if stat.S_ISREG(there.st_mode) and there.st_size == len(ex.body):
-                return
+        if _is_blob_of(path, len(ex.body)):
+            return
     write_atomic(path, ex.body)
 
 
 def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     """Write a page under ``root_dir`` and return the page id.
 
-    Each body goes to ``<root_dir>/blobs/<sha256>``, put there only when no
-    blob of that digest exists yet; then ``<root_dir>/<page_id>/manifest.json``
-    lists the exchanges in order, each naming its body as
+    Each body goes to ``<root_dir>/blobs/<sha256>`` unless a regular file of
+    its length is there already (_put_blob); then
+    ``<root_dir>/<page_id>/manifest.json`` lists the exchanges in order, each naming its body as
     ``body_file: ../blobs/<sha256>`` with ``body_sha256`` and ``body_len``.
     A body that is still the object load_page read becomes a hard link to
     the blob it was read from (see _put_blob), so a stored blob may be one
@@ -425,12 +436,12 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     digest_cache names no blob (see the module docstring). Every file
     written goes to a temporary name and is moved into place with
     os.replace, the manifest last, so a failed store leaves the page's
-    previous version loadable. A blob already present under its digest is
-    trusted as is (load_page verifies it), and blobs no manifest names any
-    more are never removed. Re-storing the same page produces identical
-    bytes. The manifest is written without indentation, since CPython's C
-    JSON encoder runs only when ``indent`` is None. A page id that is not one
-    path component, or a failed write, raises StorageError.
+    previous version loadable. A blob already there is trusted as is
+    (load_page verifies it), and blobs no manifest names any more are never
+    removed. Re-storing the same page produces identical bytes. The manifest
+    is written without indentation, since CPython's C JSON encoder runs only
+    when ``indent`` is None. A page id that is not one path component, or a
+    failed write, raises StorageError.
     """
     problem = page_id_problem(page.page_id)
     if problem:
@@ -444,8 +455,7 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
         manifest_exchanges = []
         for ex in page.exchanges.values():
             digest = ex.sha256()
-            if not os.path.exists(blob_prefix + digest):
-                _put_blob(ex, blob_prefix + digest)
+            _put_blob(ex, blob_prefix + digest)
             manifest_exchanges.append(
                 {
                     "method": ex.method,
@@ -474,15 +484,33 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     return page.page_id
 
 
-# What opening a name through _no_follow raises when no regular file is there.
+# What _open_stored raises when no regular file, or a symbolic link, is there.
 _NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
 
 
-def _no_follow(path: str, flags: int) -> int:
-    """Open ``path`` unless its last component is a symbolic link (ELOOP).
-    O_NONBLOCK makes a FIFO open and read as empty instead of waiting for a
-    writer; it changes nothing for a regular file."""
-    return os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK)
+def _open_stored(root: str | Path, directory: str, name: str):
+    """Open ``<root>/<directory>/<name>``, two path components of which
+    neither may be a symbolic link, for unbuffered binary reading. O_NONBLOCK
+    makes a FIFO open and read as empty instead of waiting for a writer."""
+    dir_fd = os.open(os.path.join(root, directory), os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    try:
+        return open(name, "rb", buffering=0,
+                    opener=lambda path, flags: os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK, dir_fd=dir_fd))
+    finally:
+        os.close(dir_fd)
+
+
+def manifest_size(root_dir: str | Path, page_id: str) -> int | None:
+    """The byte size of the manifest load_page reads for ``page_id``, or None
+    unless that is a regular file: a cheap test that the page is archived."""
+    if page_id_problem(page_id):
+        return None
+    try:
+        with _open_stored(root_dir, page_id, MANIFEST_NAME) as fh:
+            info = os.fstat(fh.fileno())
+    except OSError:
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
 def _is_str(value) -> bool:
@@ -541,8 +569,9 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
     64 lowercase hex digits), and every body_file must be exactly
     ``../blobs/<body_sha256>``; anything else raises CorruptArchive, as do a
     page id that is not one path component, and a manifest or blob that is
-    missing or a symbolic link. Only that one name per body is ever read,
-    so a manifest cannot lead a load outside the blob store. Archives in
+    missing or reached through a symbolic link below the root. Only that one
+    name per body is ever read, so a manifest cannot lead a load outside the
+    blob store. Archives in
     the old per-page ``bodies/<n>.bin`` layout are not read: their CorruptArchive
     says to store the pages again. A length or digest mismatch raises
     ChecksumMismatch. Each exchange keeps its verified digest and its blob's
@@ -552,10 +581,9 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
     if problem:
         raise CorruptArchive(problem)
     root = os.fspath(root_dir)
-    manifest_path = os.path.join(root, page_id, MANIFEST_NAME)
     try:
-        with open(manifest_path, encoding="utf-8", opener=_no_follow) as fh:
-            manifest = json.loads(fh.read())
+        with _open_stored(root, page_id, MANIFEST_NAME) as fh:
+            manifest = json.loads(fh.readall().decode("utf-8"))
     except OSError as exc:
         if exc.errno in _NOT_A_FILE:
             raise CorruptArchive(f"{page_id}: {MANIFEST_NAME} is missing or not a regular file") from None
@@ -586,7 +614,7 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
             raise CorruptArchive(f"{where} body_file {body_file!r} is outside the blob store; "
                                  f"it must be '{_BLOB_REF}<body_sha256>'")
         try:
-            with open(blob_prefix + digest, "rb", buffering=0, opener=_no_follow) as fh:
+            with _open_stored(root, BLOBS_DIR, digest) as fh:
                 body = fh.readall()
         except OSError as exc:
             if exc.errno in _NOT_A_FILE:
@@ -620,6 +648,8 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
 
 
 def save_corpus(corpus: Corpus, root_dir: str | Path) -> Path:
+    if page_id_problem(corpus.name):
+        raise StorageError(f"cannot save corpus: name {corpus.name!r} is not a single path component")
     corpora_dir = Path(root_dir) / "corpora"
     try:
         corpora_dir.mkdir(parents=True, exist_ok=True)
@@ -636,12 +666,16 @@ def save_corpus(corpus: Corpus, root_dir: str | Path) -> Path:
 
 
 def load_corpus(name: str, root_dir: str | Path) -> Corpus:
-    path = Path(root_dir) / "corpora" / f"{name}.json"
-    if not path.is_file():
-        raise CorruptArchive(f"corpus {name!r} not found under {root_dir}")
+    if page_id_problem(name):
+        raise CorruptArchive(f"corpus name {name!r} is not a single path component")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        with _open_stored(root_dir, "corpora", f"{name}.json") as fh:
+            payload = json.loads(fh.readall().decode("utf-8"))
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            raise CorruptArchive(f"corpus {name!r} not found under {root_dir}") from None
+        raise CorruptArchive(f"corpus {name!r} unreadable: {exc}") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise CorruptArchive(f"corpus {name!r} unreadable: {exc}") from None
     if not isinstance(payload, dict):
         raise CorruptArchive(f"corpus {name!r}: not a JSON object")

@@ -242,7 +242,7 @@ def check_corpus(corpus: Corpus, archive_dir: str | Path) -> None:
         problem = page_id_problem(page_id)
         if problem:
             raise ConfigError("corpus.pages", problem)
-        if not (Path(archive_dir) / page_id / "manifest.json").is_file():
+        if archive.manifest_size(archive_dir, page_id) is None:
             raise ConfigError("corpus.pages", f"page {page_id!r} not found in archive")
 
 
@@ -402,15 +402,6 @@ def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
     return rows, skips, 0
 
 
-def _manifest_size(archive_dir: str, page_id: str) -> int:
-    """The byte size of a page's stored manifest.json, or 0 when it cannot
-    be read: a cheap stand-in for how long the page takes to evaluate."""
-    try:
-        return os.stat(os.path.join(archive_dir, page_id, archive.MANIFEST_NAME), follow_symlinks=False).st_size
-    except OSError:
-        return 0
-
-
 def _map_pages(evaluate_page, pages: list[str], archive_dir: str):
     """evaluate_page over pages, results in page order: in a new forked
     pool of min(usable CPUs, pages) workers when that is above 1, each task
@@ -429,7 +420,7 @@ def _map_pages(evaluate_page, pages: list[str], archive_dir: str):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    sizes = [_manifest_size(archive_dir, page_id) for page_id in pages]
+    sizes = [archive.manifest_size(archive_dir, page_id) or 0 for page_id in pages]
     order = sorted(range(len(pages)), key=lambda index: -sizes[index])  # stable: ties keep page order
     results = [None] * len(pages)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

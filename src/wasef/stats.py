@@ -61,13 +61,8 @@ def compute_deltas(
     value as (page_id, solution, reason) tuples, never raised.
     """
     by_key = {(page_id, solution): metrics for page_id, solution, metrics in results}
-    pages = []
-    solutions = []
-    for page_id, solution, _ in results:
-        if page_id not in pages:
-            pages.append(page_id)
-        if solution not in solutions and solution != baseline_solution:
-            solutions.append(solution)
+    pages = dict.fromkeys(page_id for page_id, _, _ in results)  # first-seen order
+    solutions = dict.fromkeys(solution for _, solution, _ in results if solution != baseline_solution)
 
     records: list[DeltaRecord] = []
     skips: list[tuple[str, str, str]] = []

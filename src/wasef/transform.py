@@ -151,28 +151,28 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
         if is_js_content_type(ex.content_type):
             script_texts[url] = decode_body(ex.body)
 
-    # A name's references are counted as tokens: over the inline scripts and
-    # handlers, plus every script as it stands, minus the function's own body.
-    base_tokens = jsscan.token_counts("\n".join(inline_texts + [handler_text]))
+    # Tokens of the inline scripts, handlers and every script as it stands. A
+    # function is dead when its own body holds every token of its name.
+    tokens = jsscan.token_counts("\n".join(inline_texts + [handler_text]))
     indexes = {url: jsscan.index(text) for url, (text, _) in script_texts.items()}
+    for ix in indexes.values():
+        tokens.update(ix.tokens)
     changed = True
     while changed:
         changed = False
         for url, (text, codec) in script_texts.items():
-            doomed = []
-            for name, start, end in indexes[url].function_spans:
-                outside = (
-                    base_tokens[name]
-                    + sum(ix.tokens[name] for ix in indexes.values())
-                    - jsscan.count_references(name, text[start:end])
-                )
-                if outside == 0:
-                    doomed.append((start, end))
+            doomed = [
+                (start, end)
+                for name, start, end in indexes[url].function_spans
+                if tokens[name] == jsscan.token_counts(text[start:end])[name]
+            ]
             if doomed:
                 for start, end in sorted(doomed, reverse=True):
                     text = text[:start] + text[end:]
                 script_texts[url] = (text, codec)
+                tokens.subtract(indexes[url].tokens)
                 indexes[url] = jsscan.index(text)
+                tokens.update(indexes[url].tokens)
                 changed = True
 
     replaced = {url: text.encode(codec) for url, (text, codec) in script_texts.items()}

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 import textwrap
@@ -28,13 +29,14 @@ from wasef.archive import (
 from wasef.errors import (
     BodyDecodeError,
     ChecksumMismatch,
+    ConfigError,
     CorruptArchive,
     MalformedUrl,
     NoRootDocument,
     StorageError,
     TransformFailed,
 )
-from wasef.experiment import config_from_dict, run_experiment
+from wasef.experiment import check_corpus, config_from_dict, run_experiment
 from wasef.transform import _REGISTRY, TransformSpec, apply_transform, register_subprocess_transform
 
 from conftest import page_from_parts
@@ -785,6 +787,74 @@ class TestLinkedBlobs:
         assert load_page(loaded.page_id, tmp_path / "archive") == page
 
 
+class TestStoredNames:
+    """Nothing below an archive root is read through a symbolic link or kept as one."""
+
+    CSS = b"body{margin:0}"
+
+    def _archive(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/s.css", "text/css", self.CSS)])
+        root = tmp_path / "archive"
+        store_page(page, root)
+        save_corpus(Corpus("c1", [page.page_id]), root)
+        return page, root
+
+    @pytest.mark.parametrize("name", ["{pid}", "{pid}/manifest.json", "blobs", "blobs/{css}", "corpora", "corpora/c1.json"])
+    def test_a_stored_name_linked_to_an_identical_copy_is_refused(self, tmp_path, name):
+        page, root = self._archive(tmp_path)
+        manifest_bytes = (root / page.page_id / "manifest.json").stat().st_size
+        stored = root / name.format(pid=page.page_id, css=hashlib.sha256(self.CSS).hexdigest())
+        copy = tmp_path / "outside" / stored.name
+        copy.parent.mkdir()
+        if stored.is_dir():
+            shutil.copytree(stored, copy)
+            shutil.rmtree(stored)
+        else:
+            shutil.copyfile(stored, copy)
+            stored.unlink()
+        stored.symlink_to(copy)
+        if name.startswith("corpora"):
+            with pytest.raises(CorruptArchive, match="not found"):
+                load_corpus("c1", root)
+            return
+        with pytest.raises(CorruptArchive, match="missing or not a regular file"):
+            load_page(page.page_id, root)
+        if name.startswith("blobs"):  # the manifest is still there; the run skips the page as it loads
+            assert archive.manifest_size(root, page.page_id) == manifest_bytes
+            check_corpus(Corpus("c1", [page.page_id]), root)
+        else:
+            assert archive.manifest_size(root, page.page_id) is None
+            with pytest.raises(ConfigError, match="not found in archive"):
+                check_corpus(Corpus("c1", [page.page_id]), root)
+
+    def test_manifest_size_is_the_stored_size_or_none(self, tmp_path):
+        page, root = self._archive(tmp_path)
+        assert archive.manifest_size(root, page.page_id) == (root / page.page_id / "manifest.json").stat().st_size
+        assert archive.manifest_size(root, "ghost") is None
+        assert archive.manifest_size(root, "..") is None
+        (root / "p").mkdir()
+        os.mkfifo(root / "p" / "manifest.json")
+        assert archive.manifest_size(root, "p") is None
+
+    @pytest.mark.parametrize("occupant", ["symlink", "short file"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+    def test_a_store_over_a_wrong_blob_name_writes_a_regular_blob(self, tmp_path, occupant, loaded):
+        page, root = self._archive(tmp_path)
+        stored_page = load_page(page.page_id, root) if loaded else page
+        blob = blob_path(tmp_path / "v", self.CSS)
+        blob.parent.mkdir(parents=True)
+        outside = tmp_path / "outside.css"
+        outside.write_bytes(self.CSS)  # the right bytes, outside the store
+        if occupant == "symlink":
+            blob.symlink_to(outside)
+        else:
+            blob.write_bytes(self.CSS[:-1])
+        pid = store_page(stored_page, tmp_path / "v")
+        assert not blob.is_symlink() and blob.read_bytes() == self.CSS
+        assert load_page(pid, tmp_path / "v") == page
+        assert outside.read_bytes() == self.CSS
+
+
 class TestCorpus:
     def test_save_load_round_trip(self, tmp_path):
         corpus = Corpus(name="c1", pages=["p1", "p2"], group_labels={"p1": "landing"})
@@ -801,6 +871,25 @@ class TestCorpus:
     def test_missing_corpus(self, tmp_path):
         with pytest.raises(CorruptArchive):
             load_corpus("ghost", tmp_path)
+
+    def test_corpus_that_is_not_utf8_is_corrupt(self, tmp_path):
+        (tmp_path / "corpora").mkdir()
+        (tmp_path / "corpora" / "c1.json").write_bytes(b'{"name": "\xff", "pages": []}')
+        with pytest.raises(CorruptArchive, match="c1.*unreadable"):
+            load_corpus("c1", tmp_path)
+
+    @pytest.mark.parametrize("name", ["..", "../x", "../../x", "a/b"])
+    def test_a_corpus_name_that_is_not_one_path_component_is_refused(self, tmp_path, name):
+        root = tmp_path / "a" / "archive"
+        planted = root / "corpora" / f"{name}.json"  # where joining the name as a path leads
+        planted.parent.mkdir(parents=True, exist_ok=True)
+        planted.write_text(json.dumps({"name": "c1", "pages": ["p1"]}), encoding="utf-8")
+        with pytest.raises(CorruptArchive, match="single path component"):
+            load_corpus(name, root)
+        (tmp_path / "s").mkdir()
+        with pytest.raises(StorageError, match="single path component"):
+            save_corpus(Corpus(name, ["p1"]), tmp_path / "s" / "archive")
+        assert list((tmp_path / "s").rglob("*")) == []
 
     @pytest.mark.parametrize("page_id", ["", ".", "..", "../elsewhere/p", "a/b", "a\\b", "a\x00b"])
     def test_page_id_not_one_path_component_is_corrupt(self, tmp_path, page_id):
