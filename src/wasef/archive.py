@@ -11,10 +11,10 @@ nothing but ``<root>/<page_id>/manifest.json`` and ``<root>/blobs/<hex>``,
 and loads fail closed on any digest or length mismatch.
 
 Page ids and corpus names (``<root>/corpora/<name>.json``) are single path
-components, and every stored name is read through _open_stored: the root
-may be a symbolic link, but nothing below it may be, so a linked page
-directory, ``blobs/``, ``corpora/`` or file reads as missing. Stores do not
-yet refuse a linked page directory or ``blobs/``.
+components, and every stored name is reached through a directory opened by
+_open_dir: the root may be a symbolic link, but nothing below it may be, so
+a linked page directory, ``blobs/``, ``corpora/`` or file reads as missing,
+and a store refuses a linked page directory or ``blobs/``.
 
 Stores are atomic. Each blob and each manifest is written under a
 writer-unique temporary name and moved into place with os.replace, blobs
@@ -370,55 +370,59 @@ def _ensure_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
 
 
-def write_atomic(path: str, data: bytes) -> None:
+def write_atomic(path: str, data: bytes, dir_fd: int | None = None) -> None:
     """Write ``data`` to a temporary name unique to this process and thread,
     then os.replace it to ``path``: ``path`` holds its old bytes or all of the
-    new ones. The temporary file is removed when a step fails."""
+    new ones. The temporary file is removed when a step fails, and a
+    symbolic link at its name is not written through. With ``dir_fd``,
+    ``path`` and the temporary name are relative to that open directory."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o666, dir_fd=dir_fd)
         try:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
         finally:
             os.close(fd)
-        os.replace(tmp, path)
+        os.replace(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except OSError:
         try:
-            os.unlink(tmp)
+            os.unlink(tmp, dir_fd=dir_fd)
         except OSError:
             pass
         raise
 
 
-def _is_blob_of(path: str, size: int) -> bool:
-    """Whether ``path`` is a regular file of ``size`` bytes, not a symbolic link."""
+def _is_blob_of(blobs_fd: int, name: str, size: int) -> bool:
+    """Whether ``name`` in the open directory ``blobs_fd`` is a regular file
+    of ``size`` bytes, not a symbolic link."""
     try:
-        there = os.lstat(path)
+        there = os.lstat(name, dir_fd=blobs_fd)
     except OSError:
         return False
     return stat.S_ISREG(there.st_mode) and there.st_size == size
 
 
-def _put_blob(ex: ArchivedExchange, path: str) -> None:
-    """Put ``ex``'s body at its blob name ``path`` unless a regular file of
-    the body's length is there. While the body is still the object load_page
-    read, first hard-link the blob it was read from (never following a
-    symbolic link). Whether that links, fails (EXDEV, EPERM, EMLINK, ...) or
-    finds the name taken (a concurrent store, or a symbolic link), the body
-    is then written with write_atomic unless the name now holds such a file."""
-    if _is_blob_of(path, len(ex.body)):
+def _put_blob(ex: ArchivedExchange, blobs_fd: int, name: str) -> None:
+    """Put ``ex``'s body at its blob name ``name`` in the open directory
+    ``blobs_fd`` unless a regular file of the body's length is there. While
+    the body is still the object load_page read, first hard-link the blob it
+    was read from (never following a symbolic link). Whether that links,
+    fails (EXDEV, EPERM, EMLINK, ...) or finds the name taken (a concurrent
+    store, or a symbolic link), the body is then written with write_atomic
+    unless the name now holds such a file."""
+    if _is_blob_of(blobs_fd, name, len(ex.body)):
         return
     cache = ex.digest_cache
     if cache is not None and cache[0] is ex.body and cache[2] is not None:
         try:
-            os.link(cache[2], path, follow_symlinks=False)
+            os.link(cache[2], name, dst_dir_fd=blobs_fd, follow_symlinks=False)
         except OSError:
             pass  # what is at the name now is checked below
-        if _is_blob_of(path, len(ex.body)):
+        if _is_blob_of(blobs_fd, name, len(ex.body)):
             return
-    write_atomic(path, ex.body)
+    write_atomic(name, ex.body, dir_fd=blobs_fd)
 
 
 def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
@@ -440,22 +444,26 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
     (load_page verifies it), and blobs no manifest names any more are never
     removed. Re-storing the same page produces identical bytes. The manifest
     is written without indentation, since CPython's C JSON encoder runs only
-    when ``indent`` is None. A page id that is not one path component, or a
-    failed write, raises StorageError.
+    when ``indent`` is None. A page id that is not one path component, a
+    symbolic link at ``<root_dir>/<page_id>`` or ``<root_dir>/blobs``, or a
+    failed write raises StorageError. Both directories are opened once,
+    without following a link, and every file is reached through them, so a
+    store writes nothing outside the root.
     """
     problem = page_id_problem(page.page_id)
     if problem:
         raise StorageError(f"cannot store page: {problem}")
     root = os.fspath(root_dir)
-    page_dir = os.path.join(root, page.page_id)
-    blob_prefix = os.path.join(root, BLOBS_DIR, "")
+    page_fd = blobs_fd = None
     try:
-        _ensure_dir(page_dir)
-        _ensure_dir(blob_prefix)
+        _ensure_dir(os.path.join(root, page.page_id))
+        _ensure_dir(os.path.join(root, BLOBS_DIR))
+        page_fd = _open_dir(root, page.page_id)
+        blobs_fd = _open_dir(root, BLOBS_DIR)
         manifest_exchanges = []
         for ex in page.exchanges.values():
             digest = ex.sha256()
-            _put_blob(ex, blob_prefix + digest)
+            _put_blob(ex, blobs_fd, digest)
             manifest_exchanges.append(
                 {
                     "method": ex.method,
@@ -476,11 +484,16 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
             "exchanges": manifest_exchanges,
         }
         write_atomic(
-            os.path.join(page_dir, MANIFEST_NAME),
+            MANIFEST_NAME,
             (json.dumps(manifest, ensure_ascii=False) + "\n").encode("utf-8"),
+            dir_fd=page_fd,
         )
     except OSError as exc:
         raise StorageError(f"cannot store page {page.page_id}: {exc}") from exc
+    finally:
+        for fd in (page_fd, blobs_fd):
+            if fd is not None:
+                os.close(fd)
     return page.page_id
 
 
@@ -488,14 +501,26 @@ def store_page(page: ArchivedPage, root_dir: str | Path) -> str:
 _NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP)
 
 
+def _open_dir(root: str | Path, directory: str) -> int:
+    """A descriptor of the directory ``<root>/<directory>``, which may not be
+    a symbolic link; the caller closes it."""
+    return os.open(os.path.join(root, directory), os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+
+
+def _open_in(dir_fd: int, name: str):
+    """Open ``name`` in the open directory ``dir_fd``, not through a symbolic
+    link, for unbuffered binary reading. O_NONBLOCK makes a FIFO open and
+    read as empty instead of waiting for a writer."""
+    return open(name, "rb", buffering=0,
+                opener=lambda path, flags: os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK, dir_fd=dir_fd))
+
+
 def _open_stored(root: str | Path, directory: str, name: str):
     """Open ``<root>/<directory>/<name>``, two path components of which
-    neither may be a symbolic link, for unbuffered binary reading. O_NONBLOCK
-    makes a FIFO open and read as empty instead of waiting for a writer."""
-    dir_fd = os.open(os.path.join(root, directory), os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    neither may be a symbolic link, for unbuffered binary reading."""
+    dir_fd = _open_dir(root, directory)
     try:
-        return open(name, "rb", buffering=0,
-                    opener=lambda path, flags: os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK, dir_fd=dir_fd))
+        return _open_in(dir_fd, name)
     finally:
         os.close(dir_fd)
 
@@ -599,42 +624,49 @@ def load_page(page_id: str, root_dir: str | Path) -> ArchivedPage:
 
     blob_prefix = os.path.join(root, BLOBS_DIR, "")
     exchanges: dict[tuple[str, str], ArchivedExchange] = {}
-    for index, entry in enumerate(manifest["exchanges"]):
-        where = f"{page_id}: exchange {index}"
-        if not isinstance(entry, dict):
-            raise CorruptArchive(f"{where} is not an object")
-        _check_fields(entry, _ENTRY_FIELDS, where)
-        digest, body_file = entry["body_sha256"], entry["body_file"]
-        if body_file != _BLOB_REF + digest:
-            if _OLD_BODY_FILE_RE.fullmatch(body_file):
-                raise CorruptArchive(
-                    f"{page_id}: stored in the old per-page bodies/<n>.bin layout, which is no "
-                    f"longer read; store the page again to move its bodies to {BLOBS_DIR}/<sha256>"
+    blobs_fd = None  # <root>/blobs, opened once, for the first blob read
+    try:
+        for index, entry in enumerate(manifest["exchanges"]):
+            where = f"{page_id}: exchange {index}"
+            if not isinstance(entry, dict):
+                raise CorruptArchive(f"{where} is not an object")
+            _check_fields(entry, _ENTRY_FIELDS, where)
+            digest, body_file = entry["body_sha256"], entry["body_file"]
+            if body_file != _BLOB_REF + digest:
+                if _OLD_BODY_FILE_RE.fullmatch(body_file):
+                    raise CorruptArchive(
+                        f"{page_id}: stored in the old per-page bodies/<n>.bin layout, which is no "
+                        f"longer read; store the page again to move its bodies to {BLOBS_DIR}/<sha256>"
+                    )
+                raise CorruptArchive(f"{where} body_file {body_file!r} is outside the blob store; "
+                                     f"it must be '{_BLOB_REF}<body_sha256>'")
+            try:
+                if blobs_fd is None:
+                    blobs_fd = _open_dir(root, BLOBS_DIR)
+                with _open_in(blobs_fd, digest) as fh:
+                    body = fh.readall()
+            except OSError as exc:
+                if exc.errno in _NOT_A_FILE:
+                    raise CorruptArchive(f"{where}: blob {BLOBS_DIR}/{digest} is missing or not a regular file") from None
+                raise StorageError(f"{where}: cannot read blob {BLOBS_DIR}/{digest}: {exc}") from exc
+            if len(body) != entry["body_len"]:
+                raise ChecksumMismatch(
+                    f"{where}: blob {BLOBS_DIR}/{digest} is {len(body)} bytes, manifest says {entry['body_len']}"
                 )
-            raise CorruptArchive(f"{where} body_file {body_file!r} is outside the blob store; "
-                                 f"it must be '{_BLOB_REF}<body_sha256>'")
-        try:
-            with _open_stored(root, BLOBS_DIR, digest) as fh:
-                body = fh.readall()
-        except OSError as exc:
-            if exc.errno in _NOT_A_FILE:
-                raise CorruptArchive(f"{where}: blob {BLOBS_DIR}/{digest} is missing or not a regular file") from None
-            raise StorageError(f"{where}: cannot read blob {BLOBS_DIR}/{digest}: {exc}") from exc
-        if len(body) != entry["body_len"]:
-            raise ChecksumMismatch(
-                f"{where}: blob {BLOBS_DIR}/{digest} is {len(body)} bytes, manifest says {entry['body_len']}"
+            if hashlib.sha256(body).hexdigest() != digest:
+                raise ChecksumMismatch(f"{where}: digest mismatch for blob {BLOBS_DIR}/{digest}")
+            exchanges[(entry["method"], entry["url"])] = ArchivedExchange(
+                method=entry["method"],
+                url=entry["url"],
+                status=entry["status"],
+                headers=[(name, value) for name, value in entry["headers"]],
+                body=body,
+                content_type=entry["content_type"],
+                digest_cache=(body, digest, blob_prefix + digest),
             )
-        if hashlib.sha256(body).hexdigest() != digest:
-            raise ChecksumMismatch(f"{where}: digest mismatch for blob {BLOBS_DIR}/{digest}")
-        exchanges[(entry["method"], entry["url"])] = ArchivedExchange(
-            method=entry["method"],
-            url=entry["url"],
-            status=entry["status"],
-            headers=[(name, value) for name, value in entry["headers"]],
-            body=body,
-            content_type=entry["content_type"],
-            digest_cache=(body, digest, blob_prefix + digest),
-        )
+    finally:
+        if blobs_fd is not None:
+            os.close(blobs_fd)
 
     page = ArchivedPage(
         page_id=manifest["page_id"],

@@ -51,14 +51,13 @@ nothing else.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
 import math
 import os
 import shutil
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -388,8 +387,10 @@ def _evaluate_page(config: ExperimentConfig, full: bool, page_id: str):
                         simulate_load(original, config.network, config.device),
                         similarity.score_graphs(original, original) if full else None,
                     )
-                else:
-                    metrics, scores = copy.deepcopy(unchanged_result)
+                else:  # the paint timeline is the one mutable field either holds
+                    metrics, scores = unchanged_result
+                    metrics = replace(metrics, paint_timeline=list(metrics.paint_timeline))
+                    scores = None if scores is None else replace(scores)
             else:
                 graph = pagemodel.parse_page(variant)
                 del variant  # its bodies need not outlive this pair

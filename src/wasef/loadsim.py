@@ -32,6 +32,19 @@ Model, in full:
 * Ties: simultaneous events process in (time, sequence) order with sequence
   numbers assigned at scheduling time, so runs are bit-identical.
 
+Engine: each loop step moves time to the earliest of the next scheduled
+event and the next transfer to finish, which it finds from the least
+remaining byte count among the transfers, kept as they advance. It advances
+every transfer by its share of the link and takes out the finished ones in
+one scan, then handles that step's events in sequence order. It then pumps
+the host queues only when a fetch was queued or a connection freed during
+the step, and offers the main thread work only when it is free. Both skips
+are exact. After a pump every host has an empty queue or no free
+connection, and only a queued fetch or a freed connection can change that,
+so any other pump would start nothing. A busy thread takes no task, and
+_dispatch_thread changes nothing else. Each URL's host comes from a memo
+shared by every load in the process.
+
 Duplicate URLs are fetched once. A fetch's size is the resource's ``bytes``;
 ``Resource.missing`` is never read. pagemodel.parse_page binds a resource
 absent from the archive with 0 bytes, so a missing resource costs one RTT and
@@ -45,6 +58,8 @@ import itertools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from urllib.parse import urlsplit
 
 from .pagemodel import (
@@ -63,6 +78,16 @@ from .pagemodel import (
 
 _EPS_BYTES = 1e-6
 _EPS_TIME = 1e-15
+_seq_of = itemgetter(1)  # an event's (time, seq, kind, payload) sequence number
+
+
+@lru_cache(maxsize=4096)
+def _host_of(url: str) -> str:
+    """The host whose connections a fetch of ``url`` takes. Memoised per
+    worker process, as pagemodel._resolve_url is: a page's variants fetch
+    the URLs its original fetched. The function is pure, so the memo never
+    needs emptying."""
+    return urlsplit(url).netloc or "local"
 
 
 @dataclass(frozen=True)
@@ -163,6 +188,9 @@ class _Simulation:
         self.fetches: dict[str, _Fetch] = {}
         self.host_active: dict[str, int] = defaultdict(int)
         self.host_queues: dict[str, deque] = defaultdict(deque)
+        # Whether a fetch was queued or a connection freed since the last
+        # _pump_hosts; without either, a pump starts nothing.
+        self.pump_needed = False
 
         items: list = list(graph.sub_resources()) + list(graph.text_blocks)
         items.sort(key=lambda item: item.discovery_index)
@@ -200,19 +228,18 @@ class _Simulation:
     def _schedule(self, t: float, kind: str, payload) -> None:
         heapq.heappush(self.events, (t, next(self.seq), kind, payload))
 
-    def _host_of(self, url: str) -> str:
-        return urlsplit(url).netloc or "local"
-
     def _issue_fetch(self, res: Resource) -> _Fetch:
         fetch = self.fetches.get(res.url)
         if fetch is not None:
             return fetch
-        fetch = _Fetch(res.url, self._host_of(res.url), res.bytes, next(self.seq))
+        fetch = _Fetch(res.url, _host_of(res.url), res.bytes, next(self.seq))
         self.fetches[res.url] = fetch
         self.host_queues[fetch.host].append(fetch)
+        self.pump_needed = True
         return fetch
 
     def _pump_hosts(self) -> None:
+        self.pump_needed = False
         for host, queue in self.host_queues.items():
             while queue and self.host_active[host] < self.net.max_connections_per_host:
                 fetch = queue.popleft()
@@ -223,6 +250,7 @@ class _Simulation:
         fetch.done_at = (self.step, self.t)
         self._bump_plt(self.t)
         self.host_active[fetch.host] -= 1
+        self.pump_needed = True
         self.async_ready += self.async_waiting.pop(fetch, ())
 
     # -- main thread ------------------------------------------------------
@@ -236,8 +264,8 @@ class _Simulation:
         self._schedule(self.t + dur, "task_done", ("exec", res, blocking, dur))
 
     def _dispatch_thread(self) -> None:
-        if self.thread_busy:
-            return
+        """Start the next main-thread task, if any is ready; run calls it
+        only while the thread is free."""
         if self.blocking_script is not None:
             if self.blocking_fetch is None or self.blocking_fetch.done_at is not None:
                 self._start_exec(self.blocking_script, True)
@@ -309,62 +337,68 @@ class _Simulation:
 
     # -- engine -----------------------------------------------------------
 
-    def _next_time(self) -> float | None:
-        candidates = []
-        if self.events:
-            candidates.append(self.events[0][0])
-        if self.transfers:
-            min_rem = min(f.remaining for f in self.transfers)
-            candidates.append(
-                self.t + min_rem * len(self.transfers) / self.net.bandwidth_bytes_per_sec
-            )
-        return min(candidates) if candidates else None
-
-    def _advance_to(self, t_next: float) -> None:
-        dt = max(0.0, t_next - self.t)
-        if self.transfers and dt > 0.0:
-            share = self.net.bandwidth_bytes_per_sec * dt / len(self.transfers)
-            for fetch in self.transfers:
-                fetch.remaining -= share
-        self.t = t_next
-
     def run(self) -> PageMetrics:
-        root = self.graph.root
-        self.root_fetch = self._issue_fetch(root)
+        events, transfers = self.events, self.transfers
+        bandwidth = self.net.bandwidth_bytes_per_sec
+        self.root_fetch = self._issue_fetch(self.graph.root)
         self._pump_hosts()
         self._dispatch_thread()
+        min_rem = math.inf  # least remaining bytes among the transfers
 
-        while True:
-            t_next = self._next_time()
-            if t_next is None:
-                break
+        while events or transfers:
+            t = self.t
+            if transfers:
+                t_next = t + min_rem * len(transfers) / bandwidth
+                if events and events[0][0] < t_next:
+                    t_next = events[0][0]
+            else:
+                t_next = events[0][0]
             self.step += 1
-            self._advance_to(t_next)
+            self.t = t_next
+
+            # Advance every transfer to t_next and take out the finished ones
+            # in one scan, in transfer insertion order.
+            dt = t_next - t
+            share = bandwidth * dt / len(transfers) if transfers and dt > 0.0 else 0.0
+            min_rem = math.inf
+            done = []
+            for fetch in transfers:
+                if share:
+                    fetch.remaining -= share
+                remaining = fetch.remaining
+                if remaining <= _EPS_BYTES:
+                    done.append(fetch)
+                elif remaining < min_rem:
+                    min_rem = remaining
 
             batch = []
-            while self.events and self.events[0][0] <= self.t + _EPS_TIME:
-                _, seq, kind, payload = heapq.heappop(self.events)
-                batch.append((seq, kind, payload))
-            for fetch in list(self.transfers):
-                if fetch.remaining <= _EPS_BYTES:
-                    del self.transfers[fetch]
-                    batch.append((fetch.seq, "transfer_done", fetch))
-            batch.sort(key=lambda ev: ev[0])
+            horizon = t_next + _EPS_TIME
+            while events and events[0][0] <= horizon:
+                batch.append(heapq.heappop(events))
+            for fetch in done:
+                del transfers[fetch]
+                batch.append((t_next, fetch.seq, "transfer_done", fetch))
+            if len(batch) > 1:
+                batch.sort(key=_seq_of)
 
-            for _, kind, payload in batch:
+            for _, _, kind, payload in batch:
                 if kind == "latency_done":
                     fetch = payload
                     if fetch.size <= 0:
                         self._complete_fetch(fetch)
                     else:
-                        self.transfers[fetch] = None
+                        transfers[fetch] = None
+                        if fetch.remaining < min_rem:
+                            min_rem = fetch.remaining
                 elif kind == "transfer_done":
                     self._complete_fetch(payload)
                 elif kind == "task_done":
                     self._finish_task(payload)
 
-            self._pump_hosts()
-            self._dispatch_thread()
+            if self.pump_needed:
+                self._pump_hosts()
+            if not self.thread_busy:
+                self._dispatch_thread()
 
         return self._finalize()
 

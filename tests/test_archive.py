@@ -582,7 +582,7 @@ class TestStoreLoad:
             real_write(fd, bytes(data[: len(data) // 2]))
             raise interruption
 
-        def no_replace(src, dst):
+        def no_replace(src, dst, **dir_fds):
             raise OSError(errno.EIO, "I/O error")
 
         if failing == "replace":
@@ -701,9 +701,9 @@ class TestLinkedBlobs:
         page, loaded = self._loaded(tmp_path)
         real_link = os.link
 
-        def failing_link(src, dst, *, follow_symlinks=True):
+        def failing_link(src, dst, *, dst_dir_fd=None, follow_symlinks=True):
             if failure == errno.EEXIST:  # a concurrent store puts the blob there first
-                real_link(src, dst, follow_symlinks=follow_symlinks)
+                real_link(src, dst, dst_dir_fd=dst_dir_fd, follow_symlinks=follow_symlinks)
             raise OSError(failure, os.strerror(failure), dst)
 
         monkeypatch.setattr(archive.os, "link", failing_link)
@@ -726,7 +726,7 @@ class TestLinkedBlobs:
         assert load_page(pid, tmp_path / "variants").lookup(css.url).body == b"body{margin:1}"
         assert blob_path(tmp_path / "variants", b"body{margin:1}").stat().st_nlink == 1
         assert len(linked) == len(page.exchanges) - 1
-        assert str(blob_path(tmp_path / "variants", b"body{margin:1}")) not in linked
+        assert hashlib.sha256(b"body{margin:1}").hexdigest() not in linked
 
     def test_a_symlink_swapped_in_after_load_is_never_followed(self, tmp_path):
         page, loaded = self._loaded(tmp_path)
@@ -853,6 +853,54 @@ class TestStoredNames:
         assert not blob.is_symlink() and blob.read_bytes() == self.CSS
         assert load_page(pid, tmp_path / "v") == page
         assert outside.read_bytes() == self.CSS
+
+
+class TestStoreDirectories:
+    """A store writes through the page directory and ``blobs/`` opened once
+    each, refuses a symbolic link at either, and closes what it opened; so
+    does a load."""
+
+    @pytest.mark.parametrize("name", ["{pid}", "blobs"])
+    def test_a_store_through_a_linked_directory_is_refused(self, tmp_path, name):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/s.css", "text/css", b"body{margin:0}")])
+        root = tmp_path / "archive"
+        root.mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (root / name.format(pid=page.page_id)).symlink_to(outside, target_is_directory=True)
+        with pytest.raises(StorageError, match=page.page_id):
+            store_page(page, root)
+        assert list(outside.iterdir()) == []
+        with pytest.raises(CorruptArchive, match="missing or not a regular file"):
+            load_page(page.page_id, root)
+
+    def test_a_link_at_a_temporary_name_is_not_written_through(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/s.css", "text/css", b"body{margin:0}")])
+        root = tmp_path / "archive"
+        (root / "blobs").mkdir(parents=True)
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"kept")
+        tmp = blob_path(root, b"body{margin:0}").with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp.symlink_to(outside)  # write_atomic's temporary name for the stylesheet's blob
+        with pytest.raises(StorageError, match=page.page_id):
+            store_page(page, root)
+        assert outside.read_bytes() == b"kept"
+        assert not blob_path(root, b"body{margin:0}").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+    def test_stores_and_loads_close_every_descriptor(self, tmp_path):
+        page = page_from_parts("<html><body>x</body></html>", assets=[("/s.css", "text/css", b"body{margin:0}")])
+        root = tmp_path / "archive"
+        (tmp_path / "linked").mkdir()
+        (tmp_path / "linked" / "blobs").symlink_to(tmp_path, target_is_directory=True)
+        before = set(os.listdir("/proc/self/fd"))
+        store_page(load_page(store_page(page, root), root), tmp_path / "variants")
+        with pytest.raises(StorageError):  # fails after opening the page directory
+            store_page(page, tmp_path / "linked")
+        blob_path(root, b"body{margin:0}").unlink()
+        with pytest.raises(CorruptArchive, match="exchange 1"):  # fails after reading a blob
+            load_page(page.page_id, root)
+        assert set(os.listdir("/proc/self/fd")) == before
 
 
 class TestCorpus:

@@ -489,6 +489,73 @@ def test_simulator_equals_reference(spec):
         assert metrics.speed_index_seconds <= metrics.plt_seconds + TOL
 
 
+# Up to 12 hosts: the page's own, the same name on another port, one with no
+# host at all (its fetches go to "local"), and ten more.
+MANY_HOSTS = ("http://h.test", "http://h.test:8080", "http://") + tuple(f"http://h{i}.test" for i in range(1, 11))
+
+
+@st.composite
+def many_host_specs(draw):
+    """Specs in page_specs' shape over 3 to 12 hosts with one or two
+    connections each and at least 12 tags, so several host queues wait at
+    once."""
+    hosts = draw(st.lists(st.sampled_from(MANY_HOSTS), min_size=3, max_size=12, unique=True))
+    root_bytes = draw(st.integers(1, 50_000))
+    count = draw(st.integers(12, 60))
+    kinds = draw(st.lists(st.sampled_from([kind for kind in KINDS if kind != "image-again"]),
+                          min_size=count, max_size=count))
+    offset = st.one_of(st.just(0), st.integers(0, root_bytes))
+    offsets = sorted(draw(st.lists(offset, min_size=len(kinds), max_size=len(kinds))))
+    size = st.one_of(st.sampled_from([0, 2000, 5000]), st.integers(1, 200_000))
+    items = []
+    for kind, offset in zip(kinds, offsets):
+        if kind == "text":
+            items.append(("text", draw(st.integers(0, 300)), float(offset)))
+        else:
+            url = f"{draw(st.sampled_from(hosts))}/r{draw(st.integers(0, 5))}"
+            items.append((kind, draw(size), float(offset), url))
+    net = NetworkProfile(
+        draw(st.sampled_from([50_000.0, 200_000.0, 12_500_000.0])),
+        draw(st.sampled_from([0.0, 0.05, 0.4])),
+        draw(st.integers(1, 2)),
+    )
+    dev = draw(st.sampled_from([DeviceProfile(), DeviceProfile(1e6, 2e7, "highend")]))
+    return root_bytes, items, set(), net, dev
+
+
+# One connection per host. Two images at a URL with no host queue on
+# "local" while two stylesheets queue on the page host.
+NO_HOST = (
+    1000,
+    [(KIND_IMAGE, 5000, 0.0, "http:///r0"), (KIND_STYLESHEET, 2000, 0.0, "http://h.test/r0"),
+     (KIND_IMAGE, 3000, 0.0, "http:///r1"), (KIND_STYLESHEET, 4000, 0.0, "http://h.test/r1"),
+     ("text", 50, 500.0)],
+    set(), NetworkProfile(200_000.0, 0.05, 1), DeviceProfile(),
+)
+
+# One connection per host. The page host on port 8080 is a host of its own:
+# its two fetches queue there while two more queue on the page host.
+EXPLICIT_PORT = (
+    1000,
+    [(KIND_STYLESHEET, 5000, 0.0, "http://h.test:8080/r0"), (KIND_STYLESHEET, 5000, 0.0, "http://h.test/r0"),
+     (KIND_IMAGE, 2000, 0.0, "http://h.test:8080/r1"), (KIND_IMAGE, 3000, 0.0, "http://h.test/r1"),
+     ("text", 50, 500.0)],
+    set(), NetworkProfile(200_000.0, 0.05, 1), DeviceProfile(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(NO_HOST)
+@example(EXPLICIT_PORT)
+@given(many_host_specs())
+def test_simulator_equals_reference_with_many_hosts(spec):
+    net, dev = spec[3], spec[4]
+    sim = loadsim._Simulation(build_graph(spec), net, dev)
+    ref = RefSimulation(build_graph(spec), net, dev)
+    assert sim.run() == ref.run()
+    assert sim.paints == ref.paints
+
+
 # --- monotonicity ------------------------------------------------------------
 # None of these properties holds in the simulator's model. The main thread
 # runs each task to its end in the order tasks become ready, and concurrent

@@ -194,7 +194,7 @@ def test_failed_replace_leaves_the_earlier_file_intact(tmp_path, monkeypatch):
     path = write_text("first\n", tmp_path / "report" / "deltas.csv")
     assert path.read_bytes() == b"first\n"
 
-    def failing_replace(src, dst):
+    def failing_replace(src, dst, **dir_fds):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, "replace", failing_replace)
