@@ -25,7 +25,7 @@ from .loadsim import (
 )
 from .pagemodel import ResourceGraph, parse_page
 from .replay import ReplayServer, ShapingConfig, serve
-from .similarity import SimilarityScores, functional_similarity, structural_similarity
+from .similarity import SimilarityScores, score_graphs, structural_similarity
 from .stats import DeltaRecord, DistributionSummary, compute_deltas, ecdf, summarize
 from .transform import (
     TransformSpec,
@@ -55,13 +55,13 @@ __all__ = [
     "apply_transform",
     "compute_deltas",
     "ecdf",
-    "functional_similarity",
     "import_har",
     "list_transforms",
     "load_page",
     "normalize_url",
     "parse_page",
     "register_transform",
+    "score_graphs",
     "serve",
     "simulate_load",
     "speed_index",

@@ -5,6 +5,7 @@ report, run, fixtures. The WASEF_ARCHIVE environment variable supplies a
 default for --archive. run, evaluate and report are thin wrappers over the
 one pipeline in ``experiment``: run does every stage, evaluate stops after
 simulating and writes results.json alone, and report bundles run's files.
+similarity prints the row run writes to similarity.json for one pair.
 Exit codes: 0 success, 2 configuration error or unreadable input, 3 partial
 failure (a page or pair skipped), 4 total failure.
 """
@@ -143,7 +144,7 @@ def cmd_similarity(args) -> int:
     page = load_page(args.page, archive)
     spec = TransformSpec(name=args.solution, params=_parse_params(args.param))
     variant = apply_transform(spec, page)
-    scores = similarity.score_pages(page, variant.page)
+    scores = similarity.score_graphs(pagemodel.parse_page(page), pagemodel.parse_page(variant.page))
     print(json.dumps(experiment.similarity_rows([(page.page_id, args.solution, scores)])[0], indent=2))
     return 0
 

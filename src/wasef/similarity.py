@@ -5,8 +5,9 @@ overlap, tag histogram cosine, and static preservation of interactive
 elements with resolvable handler names. There is no rendering and no script
 execution.
 
-Scores compare two parsed graphs and nothing else: the names a variant's
-scripts define are its graph's defined_names (pagemodel.ResourceGraph).
+Scores compare two parsed graphs (pagemodel.ResourceGraph) and nothing
+else: a caller holding pages parses them with pagemodel.parse_page first.
+The names a variant's scripts define are its graph's defined_names.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import pagemodel
-from .archive import ArchivedPage
 from .pagemodel import KIND_IMAGE, ResourceGraph
 
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)  # text, image, element; they sum to 1
@@ -79,16 +78,11 @@ def structural_similarity(original: ResourceGraph, variant: ResourceGraph) -> Si
     )
 
 
-def functional_similarity(original_page: ArchivedPage, variant_page: ArchivedPage) -> float:
+def functional_similarity_graphs(original_graph: ResourceGraph, variant_graph: ResourceGraph) -> float:
     """Fraction of the original's interactive elements preserved by the
     variant: the identity key must still exist and every handler name must
     still be defined at top level in some retained script. 1.0 when the
     original has no interactive elements."""
-    return score_pages(original_page, variant_page).functional
-
-
-def functional_similarity_graphs(original_graph: ResourceGraph, variant_graph: ResourceGraph) -> float:
-    """functional_similarity of two parsed graphs."""
     originals = original_graph.interactive_elements
     if not originals:
         return 1.0
@@ -104,7 +98,3 @@ def score_graphs(original_graph: ResourceGraph, variant_graph: ResourceGraph) ->
     scores.functional = functional_similarity_graphs(original_graph, variant_graph)
     return scores
 
-
-def score_pages(original_page: ArchivedPage, variant_page: ArchivedPage) -> SimilarityScores:
-    """Structural and functional scores for a (original, variant) pair."""
-    return score_graphs(pagemodel.parse_page(original_page), pagemodel.parse_page(variant_page))

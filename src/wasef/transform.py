@@ -46,33 +46,30 @@ class VariantPage:
     provenance: dict
 
 
-def _apply_edits(text: str, removals: list[tuple[int, int]], replacements: list[tuple[int, int, str]]) -> str:
-    """Apply span edits back-to-front; replacements nested inside a removed
-    span are dropped."""
-    removal_spans = sorted(removals)
-    edits: list[tuple[int, int, str]] = [(s, e, "") for s, e in removals]
-    for start, end, new in replacements:
-        if any(s <= start and end <= e for s, e in removal_spans):
+def _apply_edits(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """Replace each (start, end, new) span of text in one forward pass,
+    dropping an edit that starts inside the one kept before it.
+
+    Precondition: edits are disjoint or nested. Script spans are raw-text
+    elements and handler edits are non-script start tags, so the only nesting
+    is a handler edit inside a removed script, and it is dropped."""
+    parts = []
+    pos = 0
+    for start, end, new in sorted(edits, key=lambda edit: (edit[0], -edit[1])):
+        if start < pos:
             continue
-        edits.append((start, end, new))
-    edits.sort(key=lambda edit: edit[0], reverse=True)
-    for start, end, new in edits:
-        text = text[:start] + new + text[end:]
-    return text
+        parts += (text[pos:start], new)
+        pos = end
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
-def _rebuild_page(page: ArchivedPage, new_root_body: bytes | None, dropped_urls: set[str],
-                  replaced_bodies: dict[str, bytes] | None = None) -> ArchivedPage:
-    replaced_bodies = replaced_bodies or {}
+def _rebuild_page(page: ArchivedPage, dropped_urls: set[str], replaced_bodies: dict[str, bytes]) -> ArchivedPage:
     exchanges: dict[tuple[str, str], ArchivedExchange] = {}
     for (method, url), ex in page.exchanges.items():
         if url in dropped_urls and url != page.root_url:
             continue
-        body = ex.body
-        if url == page.root_url and new_root_body is not None:
-            body = new_root_body
-        elif url in replaced_bodies:
-            body = replaced_bodies[url]
+        body = replaced_bodies.get(url, ex.body)
         unchanged = body == ex.body  # then keep the original object, whose digest and blob are known
         exchanges[(method, url)] = ArchivedExchange(
             method=ex.method,
@@ -100,7 +97,7 @@ def _script_exchange_urls(page: ArchivedPage) -> set[str]:
 
 
 def _identity(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
-    return _rebuild_page(page, None, set())
+    return _rebuild_page(page, set(), {})
 
 
 def _root_index(page: ArchivedPage) -> HtmlIndex:
@@ -111,10 +108,11 @@ def _js_strip(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     """Remove every script element and inline handler attribute, and drop
     script exchanges from the archive."""
     index = _root_index(page)
-    removals = [(span.start, span.end) for span in index.script_spans]
-    new_text = _apply_edits(index.text, removals, list(index.handler_edits))
+    removals = [(span.start, span.end, "") for span in index.script_spans]
+    new_text = _apply_edits(index.text, removals + list(index.handler_edits))
     dropped = {span.url for span in index.script_spans if span.url is not None}
-    return _rebuild_page(page, new_text.encode(index.codec), dropped | _script_exchange_urls(page))
+    dropped |= _script_exchange_urls(page)
+    return _rebuild_page(page, dropped, {page.root_url: new_text.encode(index.codec)})
 
 
 def _js_block_thirdparty(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
@@ -126,12 +124,10 @@ def _js_block_thirdparty(page: ArchivedPage, params: dict[str, str]) -> Archived
     dropped = set()
     for span in index.script_spans:
         if span.url is not None and (urlsplit(span.url).hostname or "") != root_host:
-            removals.append((span.start, span.end))
+            removals.append((span.start, span.end, ""))
             dropped.add(span.url)
-    if not removals:
-        return _rebuild_page(page, None, set())
-    new_text = _apply_edits(index.text, removals, [])
-    return _rebuild_page(page, new_text.encode(index.codec), dropped)
+    new_text = _apply_edits(index.text, removals)
+    return _rebuild_page(page, dropped, {page.root_url: new_text.encode(index.codec)})
 
 
 def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
@@ -162,13 +158,12 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
         changed = False
         for url, (text, codec) in script_texts.items():
             doomed = [
-                (start, end)
+                (start, end, "")
                 for name, start, end in indexes[url].function_spans
                 if tokens[name] == jsscan.token_counts(text[start:end])[name]
             ]
             if doomed:
-                for start, end in sorted(doomed, reverse=True):
-                    text = text[:start] + text[end:]
+                text = _apply_edits(text, doomed)
                 script_texts[url] = (text, codec)
                 tokens.subtract(indexes[url].tokens)
                 indexes[url] = jsscan.index(text)
@@ -176,7 +171,7 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
                 changed = True
 
     replaced = {url: text.encode(codec) for url, (text, codec) in script_texts.items()}
-    return _rebuild_page(page, None, set(), replaced)
+    return _rebuild_page(page, set(), replaced)
 
 
 def downscale_quality(params: dict[str, str]) -> float:
@@ -209,7 +204,7 @@ def _img_downscale(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
         thinned = ex.body[:keep] + DOWNSCALE_MARKER
         if len(thinned) < len(ex.body):
             replaced[url] = thinned
-    return _rebuild_page(page, None, set(), replaced)
+    return _rebuild_page(page, set(), replaced)
 
 
 # --- registry ---------------------------------------------------------------

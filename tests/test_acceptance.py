@@ -35,7 +35,7 @@ from wasef.pagemodel import (
     parse_page,
 )
 from wasef.replay import ShapingConfig, serve
-from wasef.similarity import score_pages, structural_similarity
+from wasef.similarity import score_graphs, structural_similarity
 from wasef.stats import DELTA_METRICS, ecdf, summarize
 from wasef.transform import TransformSpec, apply_transform
 
@@ -206,7 +206,7 @@ def test_criterion_04_identity_baseline(fixtures200):
         base = fixtures200.metrics[pid]
         for metric, fieldname in DELTA_METRICS:
             assert getattr(base, fieldname) - getattr(vm, fieldname) == 0, (pid, metric)
-        scores = score_pages(page, variant.page)
+        scores = score_graphs(fixtures200.graphs[pid], parse_page(variant.page))
         assert scores.structural == 1.0, pid
         assert scores.functional == 1.0, pid
     _report(4, "identity transform: all deltas 0, similarity 1.0",
@@ -289,7 +289,7 @@ def test_criterion_06_similarity_bounds(fixtures200):
         page = fixtures200.pages[pid]
         for name in solutions:
             variant = apply_transform(TransformSpec(name=name), page)
-            scores = score_pages(page, variant.page)
+            scores = score_graphs(fixtures200.graphs[pid], parse_page(variant.page))
             values = [scores.structural, scores.functional, *scores.components]
             assert all(0.0 <= v <= 1.0 for v in values), (pid, name, values)
             pairs += 1
@@ -404,6 +404,11 @@ PINNED_200_PAGE_DIGESTS = {
     "report/similarity.csv": "5a6be72aa97ad7d8fcaca69bfd6c02eb21242c282080f1c0b34854f594728d8a",
 }
 
+# SHA-256 over every file under variants/ of the same run: each file's
+# relative path, then its bytes, in path order. It pins every transform's
+# output bytes, blobs and manifests alike.
+PINNED_200_PAGE_VARIANTS_DIGEST = "02f70ffc44b6001aa7d6aebedb1f0dd6051036d79e1267069051936dc5f60c9b"
+
 
 def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
     config = config_from_dict(
@@ -443,6 +448,27 @@ def test_200_page_evaluate_results_are_pinned(fixtures200, tmp_path):
     assert exit_code == 0
     digest = hashlib.sha256(write_results(records, tmp_path / "results.json").read_bytes()).hexdigest()
     assert digest == PINNED_200_PAGE_DIGESTS["results.json"]
+
+
+def test_200_page_variant_store_is_pinned(fixtures200, tmp_path):
+    config = config_from_dict(
+        {
+            "archive_dir": str(fixtures200.archive_dir),
+            "out_dir": str(tmp_path),
+            "corpus": {"name": "fixtures", "pages": fixtures200.corpus.pages},
+            "solutions": FIVE_SOLUTIONS,
+            "network": "3g",
+            "device": "lowend",
+        }
+    )
+    assert run_experiment(config).exit_code == 0
+    base = tmp_path / "variants"
+    names = sorted(p.relative_to(base).as_posix() for p in base.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode("utf-8"))
+        digest.update((base / name).read_bytes())
+    assert digest.hexdigest() == PINNED_200_PAGE_VARIANTS_DIGEST
 
 
 # SHA-256 over graph_to_dict (JSON, sorted keys) of every seeded 200-page

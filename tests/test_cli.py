@@ -720,6 +720,27 @@ class TestSinglePath:
         assert summaries["experiment_id"] == digest
         assert summaries["config"] == {"results": "results.json", "baseline": "identity"}
 
+    def test_similarity_prints_the_rows_run_writes(self, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        corpus = make_fixtures(archive, 4, seed=3)
+        solutions = ["identity", "js-strip", "js-block-thirdparty", "js-dce", "img-downscale"]
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "archive_dir": str(archive),
+            "out_dir": str(tmp_path / "run"),
+            "corpus": "fixtures",
+            "solutions": solutions,
+        }))
+        assert main(["run", "--config", str(config_path)]) == 0
+        rows = json.loads((tmp_path / "run" / "similarity.json").read_text())
+        assert len(rows) == len(corpus.pages) * len(solutions)
+        assert any(row["structural"] < 1.0 for row in rows) and any(row["functional"] < 1.0 for row in rows)
+        capsys.readouterr()
+        for row in rows:
+            assert main(["similarity", "--archive", str(archive), "--page", row["page_id"],
+                         "--solution", row["solution"]]) == 0
+            assert json.loads(capsys.readouterr().out) == row
+
     def test_evaluate_without_identity_exits_0(self, single_path_run, tmp_path):
         assert evaluate(single_path_run / "archive", tmp_path / "results.json", ["js-strip"]) == 0
         rows = json.loads((tmp_path / "results.json").read_text())

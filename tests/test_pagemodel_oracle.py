@@ -37,7 +37,6 @@ from wasef.pagemodel import (
 from wasef.similarity import score_graphs, structural_similarity
 from wasef.transform import (
     TransformSpec,
-    _apply_edits,
     _rebuild_page,
     _script_exchange_urls,
     apply_transform,
@@ -406,13 +405,25 @@ def _ref_script_urls(page, spans):
     return urls
 
 
+def ref_apply_edits(text, removals, replacements):
+    """Span edits applied back to front; a replacement nested inside a
+    removed span is dropped."""
+    edits = [(s, e, "") for s, e in removals]
+    for start, end, new in replacements:
+        if not any(s <= start and end <= e for s, e in removals):
+            edits.append((start, end, new))
+    for start, end, new in sorted(edits, key=lambda edit: edit[0], reverse=True):
+        text = text[:start] + new + text[end:]
+    return text
+
+
 def ref_js_strip(page):
     text, codec = ref_decode_html(page.root_exchange().body)
     scanner = ref_scan_html(text)
     removals = [(s, e) for s, e, _ in scanner.script_spans]
-    new_text = _apply_edits(text, removals, scanner.handler_tags)
+    new_text = ref_apply_edits(text, removals, scanner.handler_tags)
     dropped = _ref_script_urls(page, scanner.script_spans) | _script_exchange_urls(page)
-    return _rebuild_page(page, new_text.encode(codec), dropped)
+    return _rebuild_page(page, dropped, {page.root_url: new_text.encode(codec)})
 
 
 def ref_js_block_thirdparty(page):
@@ -432,8 +443,8 @@ def ref_js_block_thirdparty(page):
             removals.append((start, end))
             dropped.add(url)
     if not removals:
-        return _rebuild_page(page, None, set())
-    return _rebuild_page(page, _apply_edits(text, removals, []).encode(codec), dropped)
+        return _rebuild_page(page, set(), {})
+    return _rebuild_page(page, dropped, {page.root_url: ref_apply_edits(text, removals, []).encode(codec)})
 
 
 def ref_js_dce(page):
@@ -467,7 +478,7 @@ def ref_js_dce(page):
                 indexes[url] = jsscan.index(text)
                 changed = True
     replaced = {url: text.encode(codec) for url, (text, codec) in script_texts.items()}
-    return _rebuild_page(page, None, set(), replaced)
+    return _rebuild_page(page, set(), replaced)
 
 
 REF_TRANSFORMS = {

@@ -4,15 +4,19 @@ import pytest
 
 from wasef.pagemodel import parse_page
 from wasef.similarity import (
-    functional_similarity,
+    functional_similarity_graphs,
     histogram_cosine,
     multiset_jaccard,
-    score_pages,
+    score_graphs,
     structural_similarity,
 )
 from wasef.transform import TransformSpec, apply_transform
 
 from conftest import page_from_parts
+
+
+def functional(page, variant):
+    return functional_similarity_graphs(parse_page(page), parse_page(variant))
 
 
 def graphs(original_html, variant_html, assets=()):
@@ -113,7 +117,7 @@ class TestFunctional:
             assets=[("/a.js", "application/javascript", b"function go(){return 1;}")],
         )
         variant = apply_transform(TransformSpec(name="identity"), page)
-        assert functional_similarity(page, variant.page) == 1.0
+        assert functional(page, variant.page) == 1.0
 
     def test_js_strip_keeps_plain_links(self):
         page = page_from_parts(
@@ -121,7 +125,7 @@ class TestFunctional:
             '<a href="/d">4</a></body></html>'
         )
         variant = apply_transform(TransformSpec(name="js-strip"), page)
-        assert functional_similarity(page, variant.page) == 1.0
+        assert functional(page, variant.page) == 1.0
 
     def test_js_strip_halves_mixed_interactivity(self):
         # 2 plain links survive; 2 onclick buttons lose their handlers.
@@ -137,7 +141,7 @@ class TestFunctional:
             )],
         )
         variant = apply_transform(TransformSpec(name="js-strip"), page)
-        assert functional_similarity(page, variant.page) == 0.5
+        assert functional(page, variant.page) == 0.5
 
     def test_js_dce_of_unrelated_function_preserves_functionality(self):
         page = page_from_parts(
@@ -153,12 +157,12 @@ class TestFunctional:
         # Oracle: the deleted name was not any handler; handler still defined.
         retained = variant.page.lookup("http://site.test/a.js").body.decode()
         assert "function go()" in retained and "neverCalled" not in retained
-        assert functional_similarity(page, variant.page) == 1.0
+        assert functional(page, variant.page) == 1.0
 
     def test_no_interactive_elements_scores_one(self):
         page = page_from_parts("<html><body><p>static only</p></body></html>")
         variant = apply_transform(TransformSpec(name="js-strip"), page)
-        assert functional_similarity(page, variant.page) == 1.0
+        assert functional(page, variant.page) == 1.0
 
     def test_handler_defined_by_assignment(self):
         page = page_from_parts(
@@ -167,15 +171,15 @@ class TestFunctional:
             assets=[("/a.js", "application/javascript", b"var go = function(){return 1;};")],
         )
         variant = apply_transform(TransformSpec(name="identity"), page)
-        assert functional_similarity(page, variant.page) == 1.0
+        assert functional(page, variant.page) == 1.0
 
-    def test_score_pages_combines_both(self):
+    def test_score_graphs_combines_both(self):
         page = page_from_parts(
             '<html><body><p>a b</p><img src="i.png"><a href="/x">l</a></body></html>',
             assets=[("/i.png", "image/png", b"1")],
         )
         variant = apply_transform(TransformSpec(name="identity"), page)
-        scores = score_pages(page, variant.page)
+        scores = score_graphs(parse_page(page), parse_page(variant.page))
         assert scores.structural == 1.0
         assert scores.functional == 1.0
 
@@ -184,7 +188,7 @@ class TestFunctional:
             page = fixtures20.pages[pid]
             for name in ["identity", "js-strip", "js-dce", "img-downscale"]:
                 variant = apply_transform(TransformSpec(name=name), page)
-                scores = score_pages(page, variant.page)
+                scores = score_graphs(parse_page(page), parse_page(variant.page))
                 assert 0.0 <= scores.structural <= 1.0
                 assert 0.0 <= scores.functional <= 1.0
                 for component in scores.components:

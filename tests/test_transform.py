@@ -4,6 +4,7 @@ import re
 import pytest
 
 from wasef.errors import TransformFailed, UnknownTransform
+from wasef.experiment import _unchanged
 from wasef.fixtures import build_fixture_page
 from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import parse_page
@@ -15,6 +16,7 @@ from wasef.transform import (
     register_transform,
 )
 from wasef.transform import _REGISTRY  # registry isolation in tests
+from wasef.transform import _apply_edits
 
 from conftest import page_from_parts
 
@@ -146,6 +148,7 @@ class TestJsBlockThirdparty:
         page = scripted_page()
         variant = apply_transform(TransformSpec(name="js-block-thirdparty"), page)
         assert variant.provenance["bytes_removed"] == 0
+        assert _unchanged(page, variant.page)  # every body is the original object
 
 
 class TestJsDce:
@@ -237,6 +240,20 @@ class TestImgDownscale:
                 TransformSpec(name="img-downscale", params={"quality": "1.5"}),
                 scripted_page(),
             )
+
+
+class TestApplyEdits:
+    def test_edits_apply_in_any_given_order(self):
+        edits = [(4, 6, "X"), (0, 1, ""), (6, 6, "+"), (1, 2, "BB")]
+        assert _apply_edits("abcdefgh", edits) == "BBcdX+gh"
+        assert _apply_edits("abcdefgh", edits[::-1]) == "BBcdX+gh"
+
+    def test_an_edit_nested_in_a_kept_one_is_dropped(self):
+        # The removal holds the replacement, including one with the same start.
+        assert _apply_edits("0123456789", [(3, 4, "R"), (2, 7, ""), (2, 3, "S"), (8, 9, "T")]) == "017T9"
+
+    def test_no_edits_gives_the_text(self):
+        assert _apply_edits("abc", []) == "abc"
 
 
 class TestSharedContracts:
