@@ -55,6 +55,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import shutil
 from dataclasses import dataclass, fields, replace
@@ -77,6 +78,8 @@ from .similarity import SimilarityScores
 from .transform import TransformSpec, apply_transform, downscale_quality
 
 log = logging.getLogger(__name__)
+
+_PAIR = operator.itemgetter(0, 1)  # (page_id, solution) of a row, the order of every output table
 
 
 @dataclass
@@ -470,10 +473,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     skips = _Skips()
     rows = _pair_rows(config, True, skips)
-    records = sorted(((page_id, solution, metrics) for page_id, solution, metrics, _ in rows),
-                     key=lambda r: (r[0], r[1]))
-    similarity_table = sorted(((page_id, solution, scores) for page_id, solution, _, scores in rows),
-                              key=lambda r: (r[0], r[1]))
+    records = sorted(((page_id, solution, metrics) for page_id, solution, metrics, _ in rows), key=_PAIR)
+    similarity_table = sorted(((page_id, solution, scores) for page_id, solution, _, scores in rows), key=_PAIR)
 
     snapshot = config.snapshot()
     bundle = build_bundle(
@@ -567,11 +568,11 @@ def similarity_rows(similarity_table: list[tuple[str, str, SimilarityScores]]) -
 
 def write_results(records: list[tuple[str, str, PageMetrics]], path: str | Path) -> Path:
     """One JSON row per (page, solution), sorted, with every metric field."""
-    return report.write_json(result_rows(sorted(records, key=lambda r: (r[0], r[1]))), path)
+    return report.write_json(result_rows(sorted(records, key=_PAIR)), path)
 
 
 def write_similarity(similarity_table, path: str | Path) -> Path:
-    return report.write_json(similarity_rows(sorted(similarity_table, key=lambda r: (r[0], r[1]))), path)
+    return report.write_json(similarity_rows(sorted(similarity_table, key=_PAIR)), path)
 
 
 def _read_rows(path: str | Path, what: str) -> list[tuple]:

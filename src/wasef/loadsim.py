@@ -37,13 +37,17 @@ event and the next transfer to finish, which it finds from the least
 remaining byte count among the transfers, kept as they advance. It advances
 every transfer by its share of the link and takes out the finished ones in
 one scan, then handles that step's events in sequence order. It then pumps
-the host queues only when a fetch was queued or a connection freed during
-the step, and offers the main thread work only when it is free. Both skips
-are exact. After a pump every host has an empty queue or no free
-connection, and only a queued fetch or a freed connection can change that,
-so any other pump would start nothing. A busy thread takes no task, and
-_dispatch_thread changes nothing else. Each URL's host comes from a memo
-shared by every load in the process.
+the host queues only when, during the step, a fetch was queued on a host
+with a free connection or a connection freed on a host with fetches
+waiting, and offers the main thread work only when it is free and a fetch
+completed or a task finished during the step. Both skips are exact. After a
+pump every host has an empty queue or no free connection, and only those
+two can change that, so any other pump would start nothing.
+A busy thread takes no task. Only a completed fetch or a finished task can
+make a task ready (the parser's next stretch, a sync, deferred or async
+script), so a free thread that found nothing ready finds nothing until one
+of them happens, and _dispatch_thread that starts nothing changes nothing.
+Each URL's host comes from a memo shared by every load in the process.
 
 Duplicate URLs are fetched once. A fetch's size is the resource's ``bytes``;
 ``Resource.missing`` is never read. pagemodel.parse_page binds a resource
@@ -188,7 +192,8 @@ class _Simulation:
         self.fetches: dict[str, _Fetch] = {}
         self.host_active: dict[str, int] = defaultdict(int)
         self.host_queues: dict[str, deque] = defaultdict(deque)
-        # Whether a fetch was queued or a connection freed since the last
+        # Whether a fetch was queued on a host with a free connection, or a
+        # connection freed on a host with fetches waiting, since the last
         # _pump_hosts; without either, a pump starts nothing.
         self.pump_needed = False
 
@@ -235,7 +240,8 @@ class _Simulation:
         fetch = _Fetch(res.url, _host_of(res.url), res.bytes, next(self.seq))
         self.fetches[res.url] = fetch
         self.host_queues[fetch.host].append(fetch)
-        self.pump_needed = True
+        if self.host_active[fetch.host] < self.net.max_connections_per_host:
+            self.pump_needed = True  # else it waits for a connection, and _complete_fetch asks then
         return fetch
 
     def _pump_hosts(self) -> None:
@@ -250,7 +256,8 @@ class _Simulation:
         fetch.done_at = (self.step, self.t)
         self._bump_plt(self.t)
         self.host_active[fetch.host] -= 1
-        self.pump_needed = True
+        if self.host_queues[fetch.host]:  # else the freed connection has nothing to start
+            self.pump_needed = True
         self.async_ready += self.async_waiting.pop(fetch, ())
 
     # -- main thread ------------------------------------------------------
@@ -265,7 +272,8 @@ class _Simulation:
 
     def _dispatch_thread(self) -> None:
         """Start the next main-thread task, if any is ready; run calls it
-        only while the thread is free."""
+        only while the thread is free, after a step that completed a fetch or
+        finished a task."""
         if self.blocking_script is not None:
             if self.blocking_fetch is None or self.blocking_fetch.done_at is not None:
                 self._start_exec(self.blocking_script, True)
@@ -381,23 +389,27 @@ class _Simulation:
             if len(batch) > 1:
                 batch.sort(key=_seq_of)
 
+            ready_changed = False  # a fetch completed or a task finished
             for _, _, kind, payload in batch:
                 if kind == "latency_done":
                     fetch = payload
                     if fetch.size <= 0:
                         self._complete_fetch(fetch)
+                        ready_changed = True
                     else:
                         transfers[fetch] = None
                         if fetch.remaining < min_rem:
                             min_rem = fetch.remaining
                 elif kind == "transfer_done":
                     self._complete_fetch(payload)
+                    ready_changed = True
                 elif kind == "task_done":
                     self._finish_task(payload)
+                    ready_changed = True
 
             if self.pump_needed:
                 self._pump_hosts()
-            if not self.thread_busy:
+            if ready_changed and not self.thread_busy:
                 self._dispatch_thread()
 
         return self._finalize()

@@ -3,6 +3,27 @@ static HTML file with inline SVG ECDF and bar-chart panels.
 
 Output is byte-deterministic: fixed row ordering, fixed palette, and floats
 printed with Python's shortest round-trip representation.
+
+Every indented JSON file (results.json, similarity.json, summaries.json)
+is written by write_json, whose text is byte for byte json.dumps(value,
+indent=2). That call runs the json module's pure-Python encoder, since its C
+encoder knows no indentation; write_json gets the same bytes from the C
+encoder instead. A container that holds scalars alone (str, int, float,
+bool or None, exactly those types) is one C call whose item separator is
+",\n" plus the indentation of its depth. A list of such containers, all
+non-empty and all dicts or all lists (paint timelines, ECDF points,
+similarity rows), is one C call at the items' depth plus one str.replace of
+the separator between two of them: with ensure_ascii no encoded string
+holds a raw newline, so a closing bracket followed by ",\n" occurs nowhere
+else. Any other list is written item by item, and any other dict as runs of
+scalar items, one C call each, between its other items. Anything else (a
+non-str key, a subclass, any other type) or an interpreter without the C
+encoder leaves the whole value to json.dumps(value, indent=2).
+
+deltas.csv and similarity.csv are joined line by line from the numbers as
+_fmt writes them, which never need quoting, and the page ids, solutions
+and metrics, each distinct one quoted once by csv.writer itself, so quoting
+stays the csv module's on every Python version.
 """
 
 from __future__ import annotations
@@ -10,7 +31,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from html import escape
 from pathlib import Path
@@ -61,9 +84,126 @@ def write_text(text: str, path: str | Path) -> Path:
     return path
 
 
+# --- indented JSON -----------------------------------------------------------
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_KEYS = frozenset({str})
+_SEQUENCES = frozenset({list, tuple})
+
+
+class _Unsupported(Exception):
+    """A value that only json.dumps writes."""
+
+
+def _refuse(value):
+    raise _Unsupported
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder that separates items as json.dumps(indent=2) does at
+    this depth. It is handed only scalars and containers of scalars, which
+    cannot hold themselves, so it keeps no markers."""
+    return json.encoder.c_make_encoder(
+        None, _refuse, json.encoder.encode_basestring_ascii, None, ": ", ",\n" + "  " * depth, False, False, True
+    )
+
+
+def _items(container, depth: int) -> str:
+    """The items of a container of scalars, separated for this depth."""
+    return "".join(_encoder(depth)(container, 0))[1:-1]
+
+
+def _brackets(rows) -> str | None:
+    """The brackets of rows' items, "{}" or "[]", when rows (a list) holds
+    non-empty containers of scalars alone, all dicts or all lists and
+    tuples; else None."""
+    kinds = set(map(type, rows))
+    if not all(rows):
+        return None
+    if kinds <= _SEQUENCES:
+        return "[]" if _SCALARS.issuperset(map(type, itertools.chain.from_iterable(rows))) else None
+    if kinds == {dict} and _KEYS.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        values = itertools.chain.from_iterable(map(dict.values, rows))
+        return "{}" if _SCALARS.issuperset(map(type, values)) else None
+    return None
+
+
+def _indented(value, depth: int) -> str:
+    """json.dumps(value, indent=2) for value nested depth levels deep (its
+    first line unindented), or _Unsupported."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return "".join(_encoder(0)(value, 0))
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts, scalars = [], {}  # each run of scalar items is one C call
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unsupported
+            if type(item) in _SCALARS:
+                scalars[key] = item
+                continue
+            if scalars:
+                parts.append(_items(scalars, depth + 1))
+                scalars = {}
+            parts.append(json.encoder.encode_basestring_ascii(key) + ": " + _indented(item, depth + 1))
+        if scalars:
+            parts.append(_items(scalars, depth + 1))
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            return "[" + inner + _items(value, depth + 1) + outer + "]"
+        brackets = _brackets(value)
+        if brackets is None:
+            return "[" + inner + ("," + inner).join([_indented(item, depth + 1) for item in value]) + outer + "]"
+        opening, closing = brackets
+        deeper = inner + "  "
+        rows = _items(value, depth + 2)[1:-1].replace(
+            closing + "," + deeper + opening, inner + closing + "," + inner + opening + deeper
+        )
+        return "[" + inner + opening + deeper + rows + inner + closing + outer + "]"
+    raise _Unsupported
+
+
 def write_json(value, path: str | Path) -> Path:
-    """Write value as indented JSON and a newline."""
-    return write_text(json.dumps(value, indent=2) + "\n", path)
+    """Write value as indented JSON and a newline: exactly json.dumps(value,
+    indent=2) + "\n" (see the module docstring for how)."""
+    text = None
+    if json.encoder.c_make_encoder is not None:
+        try:
+            text = _indented(value, 0)
+        except (_Unsupported, RecursionError):  # json.dumps raises its own error for a cycle
+            pass
+    if text is None:
+        text = json.dumps(value, indent=2)
+    return write_text(text + "\n", path)
+
+
+# --- CSV -----------------------------------------------------------------------
+
+
+class _CsvFields(dict):
+    """value -> the value as csv.writer writes it as one field of a row of
+    several (a lone empty field is written quoted), each distinct value
+    written once."""
+
+    def __init__(self):
+        super().__init__()
+        self._text = io.StringIO()
+        self._writer = csv.writer(self._text, lineterminator="\n")
+
+    def __missing__(self, value) -> str:
+        self._text.seek(0)
+        self._text.truncate()
+        self._writer.writerow((value, ""))
+        field = self[value] = self._text.getvalue()[:-2]
+        return field
 
 
 def _write_csv(header: str, rows, path: Path) -> Path:
@@ -81,24 +221,20 @@ def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     skips, with stable lexicographic row order. Without skips, a skips.csv
     an earlier run left in out_dir is removed."""
     out = Path(out_dir)
-    rows = sorted(bundle.deltas, key=lambda r: (r.page_id, r.solution, r.metric))
-    paths = [
-        _write_csv(
-            "page_id,solution,metric,original,variant,delta",
-            ((r.page_id, r.solution, r.metric, _fmt(r.original_value), _fmt(r.variant_value), _fmt(r.delta))
-             for r in rows),
-            out / "deltas.csv",
-        )
+    rows = sorted(bundle.deltas, key=operator.attrgetter("page_id", "solution", "metric"))
+    quoted = _CsvFields()
+    lines = [
+        f"{quoted[r.page_id]},{quoted[r.solution]},{quoted[r.metric]},"
+        f"{_fmt(r.original_value)},{_fmt(r.variant_value)},{_fmt(r.delta)}\n"
+        for r in rows
     ]
-    sim_rows = sorted(bundle.similarity_table, key=lambda r: (r[0], r[1]))
-    paths.append(
-        _write_csv(
-            "page_id,solution,structural,functional",
-            ((page_id, solution, _fmt(scores.structural), _fmt(scores.functional or 0.0))
-             for page_id, solution, scores in sim_rows),
-            out / "similarity.csv",
-        )
-    )
+    paths = [write_text("page_id,solution,metric,original,variant,delta\n" + "".join(lines), out / "deltas.csv")]
+    sim_rows = sorted(bundle.similarity_table, key=operator.itemgetter(0, 1))
+    lines = [
+        f"{quoted[page_id]},{quoted[solution]},{_fmt(scores.structural)},{_fmt(scores.functional or 0.0)}\n"
+        for page_id, solution, scores in sim_rows
+    ]
+    paths.append(write_text("page_id,solution,structural,functional\n" + "".join(lines), out / "similarity.csv"))
     if bundle.skip_report:
         paths.append(_write_csv("page_id,solution,reason", sorted(bundle.skip_report), out / "skips.csv"))
     else:
@@ -147,8 +283,8 @@ class _Svg:
             f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def polyline(self, points, stroke):
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    def polyline(self, coords: str, stroke):
+        """coords: the points as "x,y" pairs, space-separated."""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
@@ -202,16 +338,16 @@ def _ecdf_panel(title: str, series: list[tuple[str, list[tuple[float, float]]]],
     def sy(p):
         return bottom - p * (bottom - top)
 
+    floor, end = f"{sy(0.0):.2f}", f"{sx(x_hi):.2f}"
     for index, (label, points) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        path = [(sx(points[0][0]), sy(0.0))]
-        prev_p = 0.0
-        for v, p in points:
-            path.append((sx(v), sy(prev_p)))
-            path.append((sx(v), sy(p)))
-            prev_p = p
-        path.append((sx(x_hi), sy(prev_p)))
-        svg.polyline(path, color)
+        # A step line from (first x, 0): at each point's x it rises from the
+        # level before to the point's own, then it runs flat to x_hi. Each x
+        # and each level is formatted once.
+        xs = [f"{sx(v):.2f}" for v, _ in points]
+        levels = [floor] + [f"{sy(p):.2f}" for _, p in points]
+        steps = " ".join([f"{x},{below} {x},{level}" for x, below, level in zip(xs, levels, levels[1:])])
+        svg.polyline(f"{xs[0]},{floor} {steps} {end},{levels[-1]}", color)
         legend_y = top + 12 * index
         svg.rect(right - 104, legend_y, 10, 10, color)
         svg.text(right - 90, legend_y + 9, label, size=10)

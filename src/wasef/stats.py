@@ -9,7 +9,9 @@ time or size metric. Confidence intervals use the normal approximation
 from __future__ import annotations
 
 import math
+import operator
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput
@@ -61,34 +63,28 @@ def compute_deltas(
     value as (page_id, solution, reason) tuples, never raised.
     """
     by_key = {(page_id, solution): metrics for page_id, solution, metrics in results}
-    pages = dict.fromkeys(page_id for page_id, _, _ in results)  # first-seen order
-    solutions = dict.fromkeys(solution for _, solution, _ in results if solution != baseline_solution)
+    pages = dict.fromkeys(page_id for page_id, _ in by_key)  # first-seen order
+    solutions = dict.fromkeys(solution for _, solution in by_key if solution != baseline_solution)
+    metric_names = [metric for metric, _ in DELTA_METRICS]
+    metric_values = operator.attrgetter(*(fieldname for _, fieldname in DELTA_METRICS))
 
     records: list[DeltaRecord] = []
     skips: list[tuple[str, str, str]] = []
     for page_id in pages:
         baseline = by_key.get((page_id, baseline_solution))
+        originals = None if baseline is None else list(map(float, metric_values(baseline)))
         for solution in solutions:
             variant = by_key.get((page_id, solution))
-            if baseline is None:
+            if originals is None:
                 skips.append((page_id, solution, f"missing baseline {baseline_solution!r}"))
                 continue
             if variant is None:
                 skips.append((page_id, solution, "missing variant metrics"))
                 continue
-            for metric, fieldname in DELTA_METRICS:
-                original_value = float(getattr(baseline, fieldname))
-                variant_value = float(getattr(variant, fieldname))
-                records.append(
-                    DeltaRecord(
-                        page_id=page_id,
-                        solution=solution,
-                        metric=metric,
-                        original_value=original_value,
-                        variant_value=variant_value,
-                        delta=original_value - variant_value,
-                    )
-                )
+            records += [
+                DeltaRecord(page_id, solution, metric, original, variant_value, original - variant_value)
+                for metric, original, variant_value in zip(metric_names, originals, map(float, metric_values(variant)))
+            ]
     return records, skips
 
 
@@ -148,16 +144,16 @@ def summarize_deltas(
     """One summary per (metric, solution) plus one per group when page group
     labels exist, ordered (metric, solution, group)."""
     group_labels = group_labels or {}
-    buckets: dict[tuple[str, str, str | None], list[float]] = {}
+    buckets: dict[tuple[str, str, str | None], list[float]] = defaultdict(list)
     for record in records:
-        buckets.setdefault((record.metric, record.solution, None), []).append(record.delta)
+        buckets[record.metric, record.solution, None].append(record.delta)
         label = group_labels.get(record.page_id)
         if label is not None:
-            buckets.setdefault((record.metric, record.solution, label), []).append(record.delta)
-    summaries = []
-    for (metric, solution, group) in sorted(buckets, key=lambda k: (k[0], k[1], k[2] or "")):
-        summaries.append(summarize(buckets[(metric, solution, group)], metric, solution, group))
-    return summaries
+            buckets[record.metric, record.solution, label].append(record.delta)
+    return [
+        summarize(buckets[key], *key)
+        for key in sorted(buckets, key=lambda k: (k[0], k[1], k[2] or ""))
+    ]
 
 
 def summary_to_dict(summary: DistributionSummary) -> dict:

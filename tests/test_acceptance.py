@@ -433,6 +433,39 @@ def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
     assert digests == PINNED_200_PAGE_DIGESTS
 
 
+# SHA-256 of the same run's report/report.html with the archive path and the
+# experiment id (a digest of a snapshot that holds that path) replaced by
+# placeholders, since both differ between test sessions.
+PINNED_200_PAGE_REPORT_HTML_DIGEST = "539450ed2dd6106a3f8ef339e703aecda69b8c247b46354f0d9c2e8039531160"
+
+
+def test_200_page_report_is_pinned(fixtures200, tmp_path):
+    config = config_from_dict(
+        {
+            "archive_dir": str(fixtures200.archive_dir),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {
+                "name": "fixtures",
+                "pages": fixtures200.corpus.pages,
+                "group_labels": fixtures200.corpus.group_labels,
+            },
+            "solutions": FIVE_SOLUTIONS,
+            "network": "3g",
+            "device": "lowend",
+        }
+    )
+    result = run_experiment(config)
+    assert result.exit_code == 0
+    html = (tmp_path / "out" / "report" / "report.html").read_text(encoding="utf-8")
+    assert str(fixtures200.archive_dir) in html and result.bundle.experiment_id in html
+    html = html.replace(str(fixtures200.archive_dir), "ARCHIVE").replace(result.bundle.experiment_id, "EXPERIMENT")
+    assert hashlib.sha256(html.encode("utf-8")).hexdigest() == PINNED_200_PAGE_REPORT_HTML_DIGEST
+    # Its ci95 floats come from statistics.stdev, whose last bit differs
+    # between Python versions, so summaries.json is held to its form alone.
+    text = (tmp_path / "out" / "report" / "summaries.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_200_page_evaluate_results_are_pinned(fixtures200, tmp_path):
     config = config_from_dict(
         {

@@ -1,15 +1,19 @@
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wasef.archive import store_page
 from wasef.errors import StorageError
 from wasef.experiment import config_from_dict, run_experiment
-from wasef.report import ReportBundle, emit_csv, emit_html, emit_summaries, write_bundle, write_text
+from wasef.report import ReportBundle, emit_csv, emit_html, emit_summaries, write_bundle, write_json, write_text
 from wasef.similarity import SimilarityScores
 from wasef.stats import DeltaRecord, summarize_deltas
 
@@ -209,3 +213,127 @@ def test_write_bundle_emits_everything(tmp_path):
     assert set(paths) == {"deltas.csv", "similarity.csv", "skips.csv", "summaries.json", "report.html"}
     for path in paths.values():
         assert path.is_file()
+
+
+# --- the indented JSON writer against json.dumps ------------------------------
+
+
+class Int(int):
+    def __repr__(self):
+        return "Int()"
+
+
+class Float(float):
+    def __repr__(self):
+        return "Float()"
+
+
+# Brackets, quotes, backslashes, line breaks and non-ASCII: what an encoded
+# string must keep apart from the structure around it.
+_TEXT = st.text(st.sampled_from(list('[]{}",:\\\n\r\t ab\x00\x7fé€\U0001f600')), max_size=6) | st.text(max_size=4)
+_NUMBERS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300]),
+)
+_SCALARS = st.one_of(st.none(), _NUMBERS, _TEXT)
+_ODD_SCALARS = st.one_of(st.builds(Int, st.integers()), st.builds(Float, st.floats()))
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+# Number tables such as paint timelines and ECDF points, and row tables such
+# as similarity.json's; empty rows included.
+_TABLES = st.one_of(
+    st.lists(st.lists(_NUMBERS, max_size=3) | st.tuples(_NUMBERS, _NUMBERS), max_size=5),
+    st.lists(st.dictionaries(_TEXT, _SCALARS, max_size=3), max_size=4),
+    st.lists(st.lists(_SCALARS, min_size=1, max_size=3), max_size=4),
+)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _TABLES, st.just([]), st.just({}), st.just(())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_KEYS, st.one_of(children, _ODD_SCALARS), max_size=3),
+        st.lists(st.one_of(children, _ODD_SCALARS), max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_VALUES, st.booleans())
+@example([{"page_id": "p", "fcp": 0.5, "paint_timeline": [(0.5, 0.25), (1.0, 1.0)]}, {"paint_timeline": []}], False)
+@example({"ecdf": [[-1.5, 0.5], [2, 1.0]], "ci95": [math.nan, math.inf]}, False)
+@example(["a],\n  [b", ["]"], {"k": "}"}], False)
+@example({1: [1], None: {}, 2.5: ()}, False)
+@example([Int(1), Float(2.0), [Int(3)]], False)
+@example([[1, 2], [3, 4]], True)
+def test_write_json_writes_exactly_what_json_dumps_writes(tmp_path_factory, value, without_c_encoder):
+    path = tmp_path_factory.getbasetemp() / "indented" / "value.json"
+    with mock.patch.object(json.encoder, "c_make_encoder", None if without_c_encoder else json.encoder.c_make_encoder):
+        write_json(value, path)
+    assert path.read_bytes().decode("utf-8") == json.dumps(value, indent=2) + "\n"
+
+
+def test_tables_of_scalars_do_not_need_json_dumps(tmp_path, monkeypatch):
+    """results.json, similarity.json and summaries.json take the C encoder."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    value = {
+        "config": {"pages": ["a", "b"], "labels": {"a": "x"}, "coefficients": [1.0, 1e-06]},
+        "rows": [{"page_id": "a", "plt": 1.5, "paint_timeline": [(0.1, 0.5), (0.2, 1.0)]}, {"paint_timeline": []}],
+        "similarity": [{"page_id": "a", "functional": None}, {"page_id": "b", "functional": 0.5}],
+    }
+    expected = json.dumps(value, indent=2) + "\n"
+    monkeypatch.setattr(json, "dumps", refused)
+    assert write_json(value, tmp_path / "v.json").read_text(encoding="utf-8") == expected
+
+
+def test_a_circular_value_raises_as_json_dumps_does(tmp_path):
+    value = [1]
+    value.append({"self": value})
+    with pytest.raises(ValueError, match="Circular reference"):
+        write_json(value, tmp_path / "v.json")
+    assert not (tmp_path / "v.json").exists()
+
+
+# --- the CSV lines against csv.writer -----------------------------------------
+
+_CSV_TEXT = st.text(st.sampled_from(list(',"\r\n \'\tab;é')), max_size=5)
+
+
+def _csv_text(header, rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, _CSV_TEXT, st.floats(), st.floats()), max_size=8),
+    st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, st.floats(), st.one_of(st.none(), st.floats(), st.integers())), max_size=8),
+)
+@example([("", "", "", 1.0, 2.0), ("a,b", 'q"', "\r", 0.0, -0.0)], [("", "\n", 1.0, None), (" ", "x", 0.5, 3)])
+def test_csv_files_are_what_csv_writer_writes(tmp_path_factory, deltas, similarity_rows):
+    out = tmp_path_factory.getbasetemp() / "csv"
+    records = [DeltaRecord(p, s, m, o, v, o - v) for p, s, m, o, v in deltas]
+    table = [(p, s, SimilarityScores(structural, 0.0, 0.0, 0.0, functional=functional))
+             for p, s, structural, functional in similarity_rows]
+    emit_csv(ReportBundle("x", {}, [], table, [], records), out)
+    expected_deltas = _csv_text(
+        "page_id,solution,metric,original,variant,delta",
+        [(r.page_id, r.solution, r.metric, repr(r.original_value), repr(r.variant_value), repr(r.delta))
+         for r in sorted(records, key=lambda r: (r.page_id, r.solution, r.metric))],
+    )
+    expected_similarity = _csv_text(
+        "page_id,solution,structural,functional",
+        [(p, s, repr(scores.structural), repr(scores.functional or 0.0))
+         for p, s, scores in sorted(table, key=lambda r: (r[0], r[1]))],
+    )
+    assert (out / "deltas.csv").read_bytes().decode("utf-8") == expected_deltas  # keeps a lone \r
+    assert (out / "similarity.csv").read_bytes().decode("utf-8") == expected_similarity
