@@ -128,18 +128,30 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A number that converts to a finite float: not NaN or an infinity,
+    and not an integer too large for a float."""
+    try:
+        return _number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _profile_number(profile: dict, key: str, field: str, default: float | None = None) -> float:
-    """``profile[key]`` as a float. A bool, a string or any other
-    non-number is a ConfigError on ``field`` that names the key; a missing
-    key without a default raises KeyError."""
+    """``profile[key]`` as a float. A bool, a string, any other non-number
+    or an integer too large for a float is a ConfigError on ``field`` that
+    names the key; a missing key without a default raises KeyError."""
     value = profile[key] if default is None else profile.get(key, default)
     if not _number(value):
         raise ConfigError(field, f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(field, f"{key} is too large for a float") from None
 
 
 def resolve_network(value, field: str = "network") -> NetworkProfile:
@@ -172,7 +184,7 @@ def resolve_device(value, field: str = "device") -> DeviceProfile:
         if not (
             isinstance(coefficients, list)
             and len(coefficients) == 2
-            and all(_number(c) and math.isfinite(c) for c in coefficients)
+            and all(map(_finite, coefficients))
         ):
             raise ConfigError(f"{field}.cost_coefficients", "must be a list of two finite numbers")
         try:
@@ -527,7 +539,7 @@ def build_bundle(
 
 def _pairs(value) -> bool:
     return isinstance(value, list) and all(
-        isinstance(pair, list) and len(pair) == 2 and all(map(_number, pair)) for pair in value
+        isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair)) for pair in value
     )
 
 
@@ -536,15 +548,15 @@ def _pairs(value) -> bool:
 _TABLES = {
     "results": (
         PageMetrics,
-        {**dict.fromkeys((f.name for f in fields(PageMetrics)), _number), "paint_timeline": _pairs},
+        {**dict.fromkeys((f.name for f in fields(PageMetrics)), _finite), "paint_timeline": _pairs},
         {"paint_timeline": []},
     ),
     "similarity": (
         SimilarityScores,
         {
-            "structural": _number,
-            "functional": lambda value: value is None or _number(value),
-            **dict.fromkeys(("text_sim", "image_sim", "element_sim"), _number),
+            "structural": _finite,
+            "functional": lambda value: value is None or _finite(value),
+            **dict.fromkeys(("text_sim", "image_sim", "element_sim"), _finite),
         },
         {"functional": None, "text_sim": 0.0, "image_sim": 0.0, "element_sim": 0.0},
     ),
@@ -588,7 +600,7 @@ def _read_rows(path: str | Path, what: str) -> list[tuple]:
         bad = [key for key in ("page_id", "solution") if not isinstance(row.get(key), str)]
         bad += [key for key, check in checks.items() if key not in row or not check(row[key])]
         if bad:
-            raise ConfigError(what, f"{path}: row {index}: {bad[0]!r} is missing or mistyped")
+            raise ConfigError(what, f"{path}: row {index}: {bad[0]!r} is missing, mistyped or not finite")
         table.append((row["page_id"], row["solution"], cls(**{key: row[key] for key in checks})))
     return table
 

@@ -17,6 +17,26 @@ unchanged, so the last few indexes are cached by (body, root URL), one
 cache per worker process. A changed root is tokenized again, but the URLs
 it shares with the page's root are resolved once per worker: every raw
 URL is resolved against its base through one memo (_resolve_url).
+
+Two tokenizers feed the one index builder (_IndexBuilder), which takes
+start tags, end tags and text with their character offsets. The strict
+scanner (_scan) walks the text once with str.find and a few compiled
+patterns. It accepts a document only if all of it lies in the subset of
+HTML that every html.parser from Python 3.10 to 3.14 tokenizes alike, and
+reports the tokens those would: start tags with ASCII names and ASCII
+whitespace between attributes, each value quoted without "<" or ">" or bare;
+end tags written "</name>"; "<!doctype ...>"; plain comments; script and
+style content closed by the plain closing tag with no "<!--" inside; and
+text, whose charrefs html.unescape replaces as html.parser does. Newer
+html.parser releases follow the HTML5 tokenizer more closely (comment and
+script-data states, raw text in title, textarea, iframe and the like, and
+only ASCII whitespace between attributes), so anything outside the subset
+may tokenize differently by version. The scanner rejects such a document as a
+whole, and html.parser (_ParserDriver) tokenizes it instead. So on every
+input the index is the one html.parser's tokens build. Every root and
+variant root of the fixtures and of the benchmark's wide pages takes the
+scanner.
+
 parse_page() then binds an index to one page: it builds a fresh Resource
 per referenced resource, taking only its size and missing flag from that
 page's own exchanges, and shares the index's immutable text blocks and
@@ -34,6 +54,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 from types import MappingProxyType
 from typing import NamedTuple
@@ -266,19 +287,20 @@ def decode_body(body: bytes) -> tuple[str, str]:
         return body.decode("latin-1"), "latin-1"
 
 
-class _IndexBuilder(HTMLParser):
-    """Single pass over the root document collecting resources, text runs,
-    interactive elements, the body tag histogram, script element spans and
-    start tags carrying on* attributes. Offsets are character offsets into
-    the document text."""
+class _IndexBuilder:
+    """Builds one root document's HtmlIndex from the tokens a driver reports:
+    start tags, end tags and text, each with its character offset into the
+    document text. Both drivers, _scan and _ParserDriver, call these three
+    methods, so one piece of code builds every index. It collects resources,
+    text runs, interactive elements, the body tag histogram, script element
+    spans and start tags carrying on* attributes. Offsets of resources and
+    text blocks are scaled to byte offsets as they are created."""
 
-    def __init__(self, text: str, root_url: str):
-        super().__init__(convert_charrefs=True)
+    def __init__(self, text: str, root_url: str, body_bytes: int):
         self._text = text
         self._root_url = root_url
-        self._line_starts = [0]
-        for line in text.split("\n")[:-1]:
-            self._line_starts.append(self._line_starts[-1] + len(line) + 1)
+        self._html_bytes = float(body_bytes)
+        self._scale = body_bytes / max(len(text), 1)
         self.resources: list[IndexedResource] = []
         self.text_blocks: list[TextBlock] = []
         self.interactive: list[InteractiveElement] = []
@@ -291,9 +313,9 @@ class _IndexBuilder(HTMLParser):
         self._inline_script: tuple[float, list[str]] | None = None
         self._open_script: tuple[int, str | None] | None = None  # (start, first non-empty src)
 
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_starts[line - 1] + col
+    def _byte_offset(self, offset: int) -> float:
+        """A character offset scaled by len(body) / len(text), capped at len(body)."""
+        return min(offset * self._scale, self._html_bytes)
 
     def _next_index(self) -> int:
         index = self._counter
@@ -303,10 +325,11 @@ class _IndexBuilder(HTMLParser):
     def _add_resource(self, raw_url: str, kind: str, offset: int) -> None:
         url = _resolve_url(raw_url, self._root_url)
         if url is not None:
-            self.resources.append(IndexedResource(url, kind, self._next_index(), float(offset)))
+            self.resources.append(IndexedResource(url, kind, self._next_index(), self._byte_offset(offset)))
 
-    def handle_starttag(self, tag, attrs):
-        offset = self._offset()
+    def start(self, tag: str, attrs: list[tuple[str, str | None]], offset: int, raw: str, closed: bool) -> None:
+        """A start tag at ``offset``: its lowercased name, its attributes in
+        source order, its source text, and whether it ends in "/>"."""
         attr_map: dict[str, str | None] = {}
         for name, value in attrs:
             attr_map.setdefault(name.lower(), value)
@@ -331,14 +354,14 @@ class _IndexBuilder(HTMLParser):
                     kind = KIND_SCRIPT_SYNC
                 self._add_resource(src, kind, offset)
             else:
-                self._inline_script = (float(offset), [])
+                self._inline_script = (self._byte_offset(offset), [])
             self._skip_text_depth += 1
             self._open_script = (offset, next((v for n, v in attrs if n.lower() == "src" and v), None))
         else:
-            raw = self.get_starttag_text() or ""
-            cleaned = ON_ATTR_RE.sub("", raw)
-            if cleaned != raw:
-                self.handler_edits.append((offset, offset + len(raw), cleaned))
+            if "on" in raw:  # ON_ATTR_RE cannot match otherwise
+                cleaned = ON_ATTR_RE.sub("", raw)
+                if cleaned != raw:
+                    self.handler_edits.append((offset, offset + len(raw), cleaned))
             if tag == "style":
                 self._skip_text_depth += 1
             elif tag == "link":
@@ -368,21 +391,35 @@ class _IndexBuilder(HTMLParser):
                 )
             )
 
-    def handle_startendtag(self, tag, attrs):
-        self.handle_starttag(tag, attrs)
-        if tag == "script":
-            self._finish_script(self._offset() + len(self.get_starttag_text() or ""))
-        if tag in ("script", "style"):
-            self._end_raw_element(tag)
+        if closed:
+            if tag == "script":
+                self._finish_script(offset + len(raw))
+            if tag in ("script", "style"):
+                self._end_raw_element(tag)
 
-    def handle_endtag(self, tag):
+    def end(self, tag: str, offset: int) -> None:
+        """An end tag, lowercased, whose "</" is at ``offset``."""
         if tag == "head":
             self._in_head = False
         if tag == "script" and self._open_script is not None:
-            end = self._text.find(">", self._offset())
+            end = self._text.find(">", offset)
             self._finish_script(len(self._text) if end == -1 else end + 1)
         if tag in ("script", "style"):
             self._end_raw_element(tag)
+
+    def data(self, data: str, offset: int) -> None:
+        """Text starting at ``offset``: charrefs already replaced, except in
+        script and style content, which is passed as written."""
+        if self._inline_script is not None:
+            self._inline_script[1].append(data)
+            return
+        if self._skip_text_depth > 0 or self._in_head:
+            return
+        collapsed = _collapse_ws(data)
+        if collapsed:
+            self.text_blocks.append(
+                TextBlock(len(collapsed), self._next_index(), self._byte_offset(offset), collapsed)
+            )
 
     def _finish_script(self, end: int):
         start, src = self._open_script
@@ -401,24 +438,187 @@ class _IndexBuilder(HTMLParser):
         if self._skip_text_depth > 0:
             self._skip_text_depth -= 1
 
-    def handle_data(self, data):
-        if self._inline_script is not None:
-            self._inline_script[1].append(data)
-            return
-        if self._skip_text_depth > 0 or self._in_head:
-            return
-        collapsed = _collapse_ws(data)
-        if collapsed:
-            self.text_blocks.append(
-                TextBlock(len(collapsed), self._next_index(), float(self._offset()), collapsed)
-            )
-
-    def finish(self):
-        """Close what the document leaves open: an unclosed script runs to EOF."""
+    def index(self, codec: str) -> HtmlIndex:
+        """The finished index. What the document leaves open is closed first:
+        an unclosed script runs to EOF."""
         if self._inline_script is not None:
             self._end_raw_element("script")
         if self._open_script is not None:
             self._finish_script(len(self._text))
+        return HtmlIndex(
+            text=self._text,
+            codec=codec,
+            resources=tuple(self.resources),
+            text_blocks=tuple(self.text_blocks),
+            interactive_elements=tuple(self.interactive),
+            tag_histogram=MappingProxyType(dict(self.tag_histogram)),
+            script_spans=tuple(self.script_spans),
+            handler_edits=tuple(self.handler_edits),
+        )
+
+
+class _ParserDriver(HTMLParser):
+    """Feeds a builder from html.parser: the tokenizer for every document the
+    strict scanner rejects. Its positions are (line, column) pairs, turned
+    into character offsets through the document's line starts."""
+
+    def __init__(self, builder: _IndexBuilder, text: str):
+        super().__init__(convert_charrefs=True)
+        self._builder = builder
+        self._line_starts = [0]
+        for line in text.split("\n")[:-1]:
+            self._line_starts.append(self._line_starts[-1] + len(line) + 1)
+
+    def _offset(self) -> int:
+        line, col = self.getpos()
+        return self._line_starts[line - 1] + col
+
+    def handle_starttag(self, tag, attrs):
+        self._builder.start(tag, attrs, self._offset(), self.get_starttag_text() or "", False)
+
+    def handle_startendtag(self, tag, attrs):
+        self._builder.start(tag, attrs, self._offset(), self.get_starttag_text() or "", True)
+
+    def handle_endtag(self, tag):
+        self._builder.end(tag, self._offset())
+
+    def handle_data(self, data):
+        self._builder.data(data, self._offset())
+
+
+# --- the strict scanner -------------------------------------------------------
+# Separators and names below are ASCII only. Older html.parser releases
+# match them with \s, which also takes non-ASCII spaces such as U+00A0, and
+# newer ones with ASCII whitespace. What these patterns do not accept, the
+# scanner rejects.
+
+_WS = r"[ \t\n\r\f]"
+_ATTR_NAME = "[A-Za-z_:][-A-Za-z0-9_:.]*"
+# A quoted value holds no "<" or ">". A bare value takes every character up
+# to whitespace or ">", "/" included, as every version's tokenizer does, so a
+# bare value is followed by whitespace or ">".
+_ATTR_RE = re.compile(
+    rf"{_WS}+({_ATTR_NAME})(?:{_WS}*(=){_WS}*(?:\"([^\"<>]*)\"|'([^'<>]*)'|([^\s\"'<>=`]+)))?"
+)
+# A whole start tag (name, attributes, and "/" when it closes with "/>"), or
+# an end tag written "</name>".
+_TAG_RE = re.compile(
+    rf"<(?:([A-Za-z][A-Za-z0-9-]*)((?:{_WS}+{_ATTR_NAME}"
+    rf"(?:{_WS}*={_WS}*(?:\"[^\"<>]*\"|'[^'<>]*'|[^\s\"'<>=`]+))?)*){_WS}*(/?)>"
+    r"|/([A-Za-z][A-Za-z0-9-]*)>)"
+)
+# What may end script or style content: older html.parser releases end it
+# at the first "</\s*script\s*>", newer ones at "</script" followed by
+# whitespace, "/" or ">". The scanner accepts content only when the first
+# match of these patterns is the plain closing tag.
+_RAW_TEXT_END = {
+    "script": re.compile(r"</\s*script", re.IGNORECASE),
+    "style": re.compile(r"</\s*style", re.IGNORECASE),
+}
+# Elements whose content some versions tokenize as text and others as markup
+# (escapable raw text, raw text), and "plaintext", which swallows the rest of
+# the document in some versions. Their content must be text with no "<" or
+# "&", closed by the plain end tag; "plaintext" is never accepted.
+_TEXT_ONLY = frozenset(("title", "textarea", "xmp", "iframe", "noembed", "noframes", "noscript"))
+_CONTENT_ELEMENTS = frozenset(("script", "style", "plaintext", *_TEXT_ONLY))
+
+
+def _scan(text: str, builder: _IndexBuilder) -> bool:
+    """Tokenize ``text`` into ``builder`` if the whole document is markup that
+    every html.parser from Python 3.10 to 3.14 tokenizes alike, and report
+    the same tokens those would; return False, with the builder partly fed,
+    at the first construct outside that subset.
+
+    Accepted: start tags with ASCII names and ASCII-whitespace-separated
+    attributes, each value quoted with no "<" or ">" inside or bare; end
+    tags written "</name>"; "<!doctype ...>"; comments whose body holds no
+    "--", does not start with ">" or "->" and does not end with "-";
+    script and style content holding no "<!--" whose first possible end is
+    the plain closing tag; and text, with charrefs replaced through
+    html.unescape. Rejected: "<?", "<![", any other "<!", a "<" that starts
+    none of these, end tags with spaces or attributes, "/>" on an element
+    with text-like content, "<" or "&" in the content of title, textarea,
+    xmp, iframe, noembed, noframes or noscript, "<plaintext>", NUL, and any
+    construct the document does not close."""
+    if "\x00" in text:
+        return False
+    find = text.find
+    match_tag = _TAG_RE.match
+    attr_fields = _ATTR_RE.findall
+    start, end, data = builder.start, builder.end, builder.data
+    pos = 0
+    while True:
+        lt = find("<", pos)
+        chunk = text[pos:] if lt < 0 else text[pos:lt]
+        # Text that is only whitespace makes no text block; script content,
+        # the one place it would count, is passed below as it is.
+        if chunk and not chunk.isspace():
+            data(unescape(chunk), pos)
+        if lt < 0:
+            return True
+        tag_match = match_tag(text, lt)
+        if tag_match is None:
+            if text.startswith("<!--", lt):
+                close = find("-->", lt + 4)
+                if close < 0:
+                    return False
+                comment = text[lt + 4:close]
+                if "--" in comment or comment.startswith((">", "->")) or comment.endswith("-"):
+                    return False
+                pos = close + 3
+            elif text.startswith("<!", lt) and text[lt + 2:lt + 9].lower() == "doctype":
+                close = find(">", lt + 9)
+                if close < 0 or find("<", lt + 1, close) >= 0:
+                    return False
+                pos = close + 1
+            else:
+                return False
+            continue
+        name, attr_text, slash, end_name = tag_match.groups()
+        pos = tag_match.end()
+        if end_name is not None:
+            end(end_name.lower(), lt)
+            continue
+        tag = name.lower()
+        attrs = [
+            (attr.lower(), unescape(double + single + bare) if equals else None)
+            for attr, equals, double, single, bare in attr_fields(attr_text)
+        ] if attr_text else []
+        if tag not in _CONTENT_ELEMENTS:
+            start(tag, attrs, lt, tag_match.group(), slash == "/")
+            continue
+        if slash or tag == "plaintext":
+            return False
+        start(tag, attrs, lt, tag_match.group(), False)
+        if tag in _TEXT_ONLY:
+            close = find("<", pos)
+            if close < 0 or "&" in text[pos:close]:
+                return False
+        else:
+            close_match = _RAW_TEXT_END[tag].search(text, pos)
+            if close_match is None or find("<!--", pos, close_match.start()) >= 0:
+                return False
+            close = close_match.start()
+        closing = f"</{tag}>"
+        if text[close:close + len(closing)].lower() != closing:
+            return False
+        if close > pos:
+            data(text[pos:close], pos)
+        end(tag, close)
+        pos = close + len(closing)
+
+
+def _tokenize(text: str, root_url: str, body_bytes: int) -> _IndexBuilder:
+    """The one tokenizing entry: a builder fed by the strict scanner when it
+    accepts the whole text, else by html.parser from a fresh builder."""
+    builder = _IndexBuilder(text, root_url, body_bytes)
+    if _scan(text, builder):
+        return builder
+    builder = _IndexBuilder(text, root_url, body_bytes)
+    parser = _ParserDriver(builder, text)
+    parser.feed(text)
+    parser.close()
+    return builder
 
 
 @functools.lru_cache(maxsize=16)
@@ -426,34 +626,19 @@ def html_index(body: bytes, root_url: str) -> HtmlIndex:
     """The HtmlIndex of a root body, tokenized once per distinct (body,
     root URL) among the last few this worker process asked for.
 
+    Two tokenizers feed one builder. The strict scanner (_scan) walks the
+    text once and accepts a document only when all of it lies in the subset
+    of HTML that every html.parser from Python 3.10 to 3.14 tokenizes alike;
+    it reports exactly the tokens html.parser would. Any other document,
+    rejected as a whole, goes through html.parser. So on every input the
+    index is html.parser's.
+
     Offsets in ``resources`` and ``text_blocks`` are byte offsets: character
     offsets scaled by len(body) / len(text), capped at len(body). Every
     caller gets the same index, so it is immutable throughout.
     """
     text, codec = decode_body(body)
-    builder = _IndexBuilder(text, root_url)
-    builder.feed(text)
-    builder.close()
-    builder.finish()
-
-    html_bytes = float(len(body))
-    scale = len(body) / max(len(text), 1)
-    resources = tuple(
-        res._replace(doc_offset=min(res.doc_offset * scale, html_bytes)) for res in builder.resources
-    )
-    return HtmlIndex(
-        text=text,
-        codec=codec,
-        resources=resources,
-        text_blocks=tuple(
-            block._replace(doc_offset=min(block.doc_offset * scale, html_bytes))
-            for block in builder.text_blocks
-        ),
-        interactive_elements=tuple(builder.interactive),
-        tag_histogram=MappingProxyType(dict(builder.tag_histogram)),
-        script_spans=tuple(builder.script_spans),
-        handler_edits=tuple(builder.handler_edits),
-    )
+    return _tokenize(text, root_url, len(body)).index(codec)
 
 
 def parse_page(page: ArchivedPage) -> ResourceGraph:

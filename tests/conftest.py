@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from wasef.archive import ArchivedExchange, ArchivedPage, load_page, page_id_for_url
 from wasef.fixtures import make_fixtures
@@ -10,6 +11,11 @@ from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import KIND_HTML, Resource, ResourceGraph, TextBlock, parse_page
 
 SESSION_T0 = time.perf_counter()
+
+# A deeper run of the scanner/html.parser equivalence property, selected only
+# by CI's per-version step with --hypothesis-profile=html-equivalence:
+# html.parser's tokenizer changes between CPython patch releases.
+settings.register_profile("html-equivalence", max_examples=5000)
 
 
 def page_from_parts(html, assets=(), host="site.test", root_path="/index.html"):

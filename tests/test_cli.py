@@ -994,3 +994,62 @@ class TestPageIdArguments:
         assert code == 2
         assert len(captured.err.splitlines()) == 1 and "single path component" in captured.err
         assert captured.out == ""
+
+
+# Python's json module writes NaN and the infinities and reads integers of
+# any size; none of them converts to a finite float.
+NOT_FINITE = {"nan": float("nan"), "infinity": float("inf"), "minus-infinity": float("-inf"), "400-digits": 10**400}
+
+
+class TestNumbersThatAreNotFinite:
+    @pytest.mark.parametrize("place", ["metric", "timeline"])
+    @pytest.mark.parametrize("value", sorted(NOT_FINITE))
+    def test_report_exits_2_with_one_line(self, tmp_path, capsys, value, place):
+        rows = [{**METRICS_ROW, "page_id": f"p{k}", "solution": s} for k in range(3) for s in ("identity", "js-strip")]
+        if place == "metric":
+            rows[-1]["fcp_seconds"] = NOT_FINITE[value]
+        else:
+            rows[-1]["paint_timeline"] = [[1.0, 0.5], [NOT_FINITE[value], 1.0]]
+        results, similarity = tmp_path / "results.json", tmp_path / "similarity.json"
+        results.write_text(json.dumps(rows))
+        similarity.write_text(json.dumps([SCORES_ROW]))
+        with pytest.raises(ConfigError) as info:
+            read_results(results)
+        assert info.value.field == "results"
+        code = main(["report", "--results", str(results), "--similarity", str(similarity),
+                     "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.splitlines()) == 1
+        field = "fcp_seconds" if place == "metric" else "paint_timeline"
+        assert err.startswith("config error: results: ") and f"row 5: '{field}'" in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("network", {"bandwidth_bytes_per_sec": 10**400, "rtt_seconds": 0.1}, "network"),
+            ("network", {"bandwidth_bytes_per_sec": 1e6, "rtt_seconds": 10**400}, "network"),
+            ("device", {"js_exec_bytes_per_sec": 10**400}, "device"),
+            ("device", {"html_parse_bytes_per_sec": 10**400}, "device"),
+            ("device", {"cost_coefficients": [10**400, 1e-6]}, "device.cost_coefficients"),
+            ("device", {"cost_coefficients": [1.0, -(10**400)]}, "device.cost_coefficients"),
+        ],
+    )
+    def test_oversized_integer_in_an_inline_profile_exits_2_with_one_line(self, tmp_path, capsys, key, value, field):
+        corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
+        raw = {
+            "archive_dir": str(tmp_path / "archive"),
+            "out_dir": str(tmp_path / "out"),
+            "corpus": {"name": "t", "pages": corpus.pages},
+            "solutions": ["identity"],
+            key: value,
+        }
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.field == field
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()

@@ -1,11 +1,11 @@
 import copy
-import html.parser
 import multiprocessing
 import os
 import re
 
 import pytest
 
+from wasef import pagemodel
 from wasef.archive import load_page
 from wasef.errors import EmptyDocument
 from wasef.experiment import config_from_dict, run_experiment
@@ -354,14 +354,16 @@ class TestIndexCache:
                 variant = apply_transform(TransformSpec(name=name), page).page
                 roots.add((variant.root_exchange().body, variant.root_url))
 
+        # _tokenize is the one entry both tokenizers, the strict scanner and
+        # html.parser, are reached through.
         feeds = SharedCount()  # run_experiment parses in forked workers
-        original_feed = html.parser.HTMLParser.feed
+        original_tokenize = pagemodel._tokenize
 
-        def counting_feed(parser, data):
-            feeds.append(len(data))
-            return original_feed(parser, data)
+        def counting_tokenize(text, root_url, body_bytes):
+            feeds.append(len(text))
+            return original_tokenize(text, root_url, body_bytes)
 
-        monkeypatch.setattr(html.parser.HTMLParser, "feed", counting_feed)
+        monkeypatch.setattr(pagemodel, "_tokenize", counting_tokenize)
         config = config_from_dict(
             {
                 "archive_dir": str(archive),
