@@ -157,6 +157,15 @@ def content_type_of(headers: list[tuple[str, str]]) -> str:
     return ""
 
 
+# A canonical URL: normalize_url returns it unchanged, and urljoin and
+# urlsplit from Python 3.10 to 3.14 parse it alike. Group 1 is the host,
+# which is also urlsplit's netloc.
+_SEGMENT = r"(?!\.\.?(?:[/?]|\Z))[A-Za-z0-9._~-]+"  # neither "." nor ".."
+_PATH_AND_QUERY = rf"/(?:{_SEGMENT}/)*(?:{_SEGMENT})?(?:\?[A-Za-z0-9._~=&+,!$'()*/-]+)?"
+CANONICAL_URL_RE = re.compile(rf"https?://([a-z0-9][a-z0-9.-]*){_PATH_AND_QUERY}")
+_ROOT_RELATIVE_RE = re.compile(_PATH_AND_QUERY)  # "/css/s1.css"; never "//host"
+
+
 def normalize_url(raw: str, base: str | None = None) -> str:
     """Canonicalize a URL: lowercase scheme/host, drop default ports and
     fragments, keep query and path percent-encoding byte-exact.
@@ -165,7 +174,35 @@ def normalize_url(raw: str, base: str | None = None) -> str:
     Relative references are resolved against ``base`` when given.
     Raises MalformedUrl when the result has no scheme or host, or the host
     contains whitespace.
+
+    Two shapes skip urllib, and together they are every reference of the
+    fixture and benchmark pages: a raw URL that is already canonical
+    (CANONICAL_URL_RE) comes back as it is, and a root-relative reference
+    ("/css/s1.css") against a canonical base becomes the base's
+    ``scheme://host`` followed by the reference. Canonical means lowercase
+    http or https; a lowercase host with no port or userinfo; a path of
+    non-empty segments of letters, digits and "._~-", none of them "." or
+    "..", with an optional final "/"; and an optional non-empty query of
+    plain characters. So there is no whitespace or control character, no
+    "%", ";", ":" past the scheme, "@", "\\", "#", bracket or non-ASCII
+    character, nothing that any urlsplit or urljoin from Python 3.10 to 3.14
+    strips, splits, decodes or resolves differently, and
+    tests/test_urls.py checks that both shapes give what urllib gives. Every
+    other input, and any raw URL or base that is not a str, takes urllib
+    (_normalize_url).
     """
+    if type(raw) is str and (base is None or type(base) is str):
+        base_match = None if base is None else CANONICAL_URL_RE.fullmatch(base)
+        if base is None or base_match:
+            if CANONICAL_URL_RE.fullmatch(raw):
+                return raw
+            if base_match and _ROOT_RELATIVE_RE.fullmatch(raw):
+                return base[: base_match.end(1)] + raw
+    return _normalize_url(raw, base)
+
+
+def _normalize_url(raw: str, base: str | None = None) -> str:
+    """normalize_url through urljoin and urlsplit, for every input."""
     if not isinstance(raw, str) or not raw.strip():
         raise MalformedUrl(raw)
     candidate = raw.strip()

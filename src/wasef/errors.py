@@ -64,3 +64,7 @@ class ConfigError(WasefError):
 
 class EmptyInput(WasefError):
     """A statistic was requested over an empty value list."""
+
+
+class NotFinite(WasefError):
+    """A metric delta, or a value or statistic of a summary, is not a finite float."""

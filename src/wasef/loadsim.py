@@ -66,6 +66,7 @@ from functools import lru_cache
 from operator import itemgetter
 from urllib.parse import urlsplit
 
+from .archive import CANONICAL_URL_RE
 from .pagemodel import (
     KIND_HTML,
     KIND_IFRAME,
@@ -87,11 +88,15 @@ _seq_of = itemgetter(1)  # an event's (time, seq, kind, payload) sequence number
 
 @lru_cache(maxsize=4096)
 def _host_of(url: str) -> str:
-    """The host whose connections a fetch of ``url`` takes. Memoised per
-    worker process, as pagemodel._resolve_url is: a page's variants fetch
-    the URLs its original fetched. The function is pure, so the memo never
-    needs emptying."""
-    return urlsplit(url).netloc or "local"
+    """The host whose connections a fetch of ``url`` takes: urlsplit(url)'s
+    netloc, or "local" when it has none. A canonical URL (see
+    archive.normalize_url), which every fixture and benchmark fetch is, is
+    matched once and its netloc is the matched host; any other URL goes
+    through urlsplit. Memoised per worker process, as
+    pagemodel._resolve_url is: a page's variants fetch the URLs its original
+    fetched. The function is pure, so the memo never needs emptying."""
+    match = CANONICAL_URL_RE.fullmatch(url)
+    return match[1] if match else (urlsplit(url).netloc or "local")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ under every solution in turn, and most solutions leave the root HTML
 unchanged, so the last few indexes are cached by (body, root URL), one
 cache per worker process. A changed root is tokenized again, but the URLs
 it shares with the page's root are resolved once per worker: every raw
-URL is resolved against its base through one memo (_resolve_url).
+URL is resolved against its base through one memo (_resolve_url). A
+freshly forked worker starts with that memo empty, so resolving must be
+cheap when cold too: archive.normalize_url answers a canonical URL, or a
+root-relative reference against a canonical root, without urllib, and those
+two shapes are every reference of the fixture and benchmark pages.
 
 Two tokenizers feed the one index builder (_IndexBuilder), which takes
 start tags, end tags and text with their character offsets. The strict
@@ -219,8 +223,11 @@ def _handler_names(on_attrs: dict[str, str]) -> frozenset[str]:
 def _resolve_url(raw: str, base: str) -> str | None:
     """normalize_url(raw, base), or None when raw is malformed. Memoised per
     worker process: a page's variant roots resolve the same URLs as the
-    page's root. The bound keeps a long run's distinct URLs from piling up;
-    the function is pure, so the memo never needs emptying."""
+    page's root. The memo saves most on references that take urllib;
+    canonical ones are a regular-expression match each even when it is
+    cold (see normalize_url). The bound keeps a long run's distinct URLs
+    from piling up; the function is pure, so the memo never needs
+    emptying."""
     try:
         return normalize_url(raw, base=base)
     except MalformedUrl:

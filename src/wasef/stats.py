@@ -3,7 +3,10 @@ intervals across a corpus, per solution.
 
 A delta is original minus variant, so positive means the variant improved a
 time or size metric. Confidence intervals use the normal approximation
-(1.96 standard errors) with the sample standard deviation.
+(1.96 standard errors) with the sample standard deviation, computed here
+(_stdev) as statistics.stdev computes it from Python 3.11 on, so every
+supported version writes the same bits. A delta or statistic that overflows
+the float range raises NotFinite.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import EmptyInput
+from .errors import EmptyInput, NotFinite
 from .loadsim import PageMetrics
 
 # (report name, PageMetrics field) for the six compared metrics.
@@ -81,10 +85,11 @@ def compute_deltas(
             if variant is None:
                 skips.append((page_id, solution, "missing variant metrics"))
                 continue
-            records += [
-                DeltaRecord(page_id, solution, metric, original, variant_value, original - variant_value)
-                for metric, original, variant_value in zip(metric_names, originals, map(float, metric_values(variant)))
-            ]
+            for metric, original, variant_value in zip(metric_names, originals, map(float, metric_values(variant))):
+                delta = original - variant_value
+                if not math.isfinite(delta):
+                    raise NotFinite(f"page {page_id!r}, solution {solution!r}: the {metric} delta is not finite")
+                records.append(DeltaRecord(page_id, solution, metric, original, variant_value, delta))
     return records, skips
 
 
@@ -114,16 +119,18 @@ def summarize(
     if not values:
         raise EmptyInput("summarize needs at least one value")
     n = len(values)
-    mean = statistics.fmean(values)
-    median = float(statistics.median(values))
-    if n == 1:
-        ci95 = (mean, mean)
-        degenerate = True
-    else:
-        sd = statistics.stdev(values)
-        half = Z_95 * sd / math.sqrt(n)
-        ci95 = (mean - half, mean + half)
-        degenerate = False
+    not_finite = NotFinite(f"{metric or 'values'} under {solution or 'no solution'}: a value or statistic is not finite")
+    if not all(map(math.isfinite, values)):
+        raise not_finite
+    try:
+        mean = statistics.fmean(values)
+        median = float(statistics.median(values))
+        half = Z_95 * _stdev(values) / math.sqrt(n) if n > 1 else 0.0
+    except OverflowError:
+        raise not_finite from None
+    ci95 = (mean, mean) if n == 1 else (mean - half, mean + half)
+    if not all(map(math.isfinite, (median, *ci95))):
+        raise not_finite
     return DistributionSummary(
         metric=metric,
         solution=solution,
@@ -133,8 +140,40 @@ def summarize(
         median=median,
         mean=mean,
         ci95=ci95,
-        ci95_degenerate=degenerate,
+        ci95_degenerate=n == 1,
     )
+
+
+_SQRT_BIT_WIDTH = 2 * sys.float_info.mant_dig + 3
+
+
+def _stdev(values: list[float]) -> float:
+    """statistics.stdev of two or more finite numbers, bit for bit as Python
+    3.11 and later compute it (3.10's rounds the variance to a float before
+    its square root, so its last bit may differ). Every value is scaled to
+    one power-of-two denominator, the sample variance is summed exactly in
+    integers, and its square root is rounded once, to odd at
+    _SQRT_BIT_WIDTH bits and then to the nearest float, as
+    statistics._float_sqrt_of_frac does. Raises OverflowError when the
+    result is beyond the float range."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)
+    numerators = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    count = len(numerators)
+    total = sum(numerators)
+    # The sample variance is exactly n / m.
+    n = count * sum(k * k for k in numerators) - total * total
+    m = count * (count - 1) * scale * scale
+    q = (n.bit_length() - m.bit_length() - _SQRT_BIT_WIDTH) // 2
+    if q >= 0:
+        return float(_isqrt_of_frac_rto(n, m << 2 * q) << q)
+    return _isqrt_of_frac_rto(n << -2 * q, m) / (1 << -q)
+
+
+def _isqrt_of_frac_rto(n: int, m: int) -> int:
+    """The square root of n/m, rounded down to an integer and then to odd."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
 
 
 def summarize_deltas(

@@ -16,6 +16,10 @@ SESSION_T0 = time.perf_counter()
 # by CI's per-version step with --hypothesis-profile=html-equivalence:
 # html.parser's tokenizer changes between CPython patch releases.
 settings.register_profile("html-equivalence", max_examples=5000)
+# Likewise for the fast paths of normalize_url and loadsim._host_of, selected
+# by --hypothesis-profile=url-equivalence: urllib.parse changes between
+# CPython patch releases too.
+settings.register_profile("url-equivalence", max_examples=10000)
 
 
 def page_from_parts(html, assets=(), host="site.test", root_path="/index.html"):

@@ -433,10 +433,12 @@ def test_200_page_run_outputs_are_pinned(fixtures200, tmp_path):
     assert digests == PINNED_200_PAGE_DIGESTS
 
 
-# SHA-256 of the same run's report/report.html with the archive path and the
-# experiment id (a digest of a snapshot that holds that path) replaced by
-# placeholders, since both differ between test sessions.
+# SHA-256 of the same run's report/report.html and report/summaries.json
+# with the archive path and the experiment id (a digest of a snapshot that
+# holds that path) replaced by placeholders, since both differ between test
+# sessions.
 PINNED_200_PAGE_REPORT_HTML_DIGEST = "539450ed2dd6106a3f8ef339e703aecda69b8c247b46354f0d9c2e8039531160"
+PINNED_200_PAGE_SUMMARIES_DIGEST = "5993d2a8b8121d53b84300f136426ce2e9b29e28c86e1e1288ebdb74cc054bca"
 
 
 def test_200_page_report_is_pinned(fixtures200, tmp_path):
@@ -460,10 +462,11 @@ def test_200_page_report_is_pinned(fixtures200, tmp_path):
     assert str(fixtures200.archive_dir) in html and result.bundle.experiment_id in html
     html = html.replace(str(fixtures200.archive_dir), "ARCHIVE").replace(result.bundle.experiment_id, "EXPERIMENT")
     assert hashlib.sha256(html.encode("utf-8")).hexdigest() == PINNED_200_PAGE_REPORT_HTML_DIGEST
-    # Its ci95 floats come from statistics.stdev, whose last bit differs
-    # between Python versions, so summaries.json is held to its form alone.
+    # Its ci95 floats come from stats._stdev, which gives the same bits on
+    # every supported Python version.
     text = (tmp_path / "out" / "report" / "summaries.json").read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    text = text.replace(str(fixtures200.archive_dir), "ARCHIVE").replace(result.bundle.experiment_id, "EXPERIMENT")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_200_PAGE_SUMMARIES_DIGEST
 
 
 def test_200_page_evaluate_results_are_pinned(fixtures200, tmp_path):

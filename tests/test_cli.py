@@ -1025,6 +1025,31 @@ class TestNumbersThatAreNotFinite:
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
+        "originals, variants, what",
+        [
+            # 1.5e308 - (-1.5e308) overflows to inf in compute_deltas.
+            ([1.5e308, 1.0, 1.0], [-1.5e308, 1.0, 1.0], "page 'p0', solution 'js-strip': the fcp delta"),
+            # Two deltas of 1.7e308 overflow fmean's sum; their median is inf.
+            ([1.7e308, 1.7e308, 1.0], [0.0, 0.0, 1.0], "fcp under js-strip: a value or statistic"),
+        ],
+        ids=["delta", "summary"],
+    )
+    def test_report_on_finite_rows_that_overflow_exits_2_with_one_line(self, tmp_path, capsys, originals, variants, what):
+        rows = [
+            {**METRICS_ROW, "page_id": f"p{k}", "solution": solution, "fcp_seconds": fcp}
+            for k, pair in enumerate(zip(originals, variants))
+            for solution, fcp in zip(("identity", "js-strip"), pair)
+        ]
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps(rows))
+        assert len(read_results(results)) == 6  # every number is finite
+        code = main(["report", "--results", str(results), "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {what} is not finite\n"
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
         "key, value, field",
         [
             ("network", {"bandwidth_bytes_per_sec": 10**400, "rtt_seconds": 0.1}, "network"),

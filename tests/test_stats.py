@@ -1,12 +1,16 @@
 import math
 import random
+import statistics
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from wasef.errors import EmptyInput
+from wasef.errors import EmptyInput, NotFinite
 from wasef.loadsim import PageMetrics
 from wasef.stats import (
     DELTA_METRICS,
+    _stdev,
     compute_deltas,
     ecdf,
     summarize,
@@ -164,6 +168,41 @@ class TestSummarize:
             from_ecdf = next(v for v, p in points if p >= q)
             from_sort = ordered[math.ceil(q * n) - 1]
             assert from_ecdf == from_sort
+
+
+def _stdev_outcome(fn, values):
+    try:
+        return fn(values)
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's statistics.stdev rounds twice")
+@example([0.1, 0.2, 0.3])
+@example([5e-324, 0.0])
+@example([1.7e308, -1.7e308])  # beyond the float range
+@example([1e308, -1e308])
+@example([3, 4.5, -2])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**60), 2**60), min_size=2, max_size=40))
+def test_stdev_is_statistics_stdev_bit_for_bit(values):
+    assert repr(_stdev_outcome(_stdev, values)) == repr(_stdev_outcome(statistics.stdev, values))  # every bit
+
+
+# A value that is not finite; a mean beyond the float range; a standard
+# deviation beyond it; a finite standard deviation whose ci95 is beyond it.
+@pytest.mark.parametrize(
+    "values",
+    [[float("nan"), 1.0], [math.inf, 1.0], [1.0, -math.inf], [1.7e308, 1.7e308], [1.7e308, -1.7e308], [1.13e308, -1.13e308]],
+)
+def test_summarize_raises_not_finite_beyond_the_float_range(values):
+    with pytest.raises(NotFinite, match="fcp under js-strip"):
+        summarize(values, "fcp", "js-strip")
+
+
+def test_compute_deltas_raises_not_finite_on_an_overflowing_delta():
+    results = [("p", "identity", metrics(fcp=1.5e308)), ("p", "js-strip", metrics(fcp=-1.5e308))]
+    with pytest.raises(NotFinite, match="page 'p', solution 'js-strip': the fcp delta"):
+        compute_deltas(results)
 
 
 def test_summarize_deltas_grouping():
