@@ -267,7 +267,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("archive_dir", "out_dir", "corpus", "solutions"):
         if key not in raw:
             raise ConfigError(key, "is required")
-    archive_dir = str(raw["archive_dir"])
+    for key in ("archive_dir", "out_dir"):
+        # Not str(value): null or a number would name a directory "None" or
+        # "7", and an empty out_dir is the working directory, whose
+        # variants/ the run would empty.
+        if not isinstance(raw[key], str) or not raw[key]:
+            raise ConfigError(key, "must be a non-empty string")
+    archive_dir = raw["archive_dir"]
 
     corpus_raw = raw["corpus"]
     if isinstance(corpus_raw, str):
@@ -300,7 +306,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         archive_dir=archive_dir,
-        out_dir=str(raw["out_dir"]),
+        out_dir=raw["out_dir"],
         corpus=corpus,
         solutions=_resolve_solutions(raw["solutions"]),
         network=resolve_network(raw.get("network", "3g")),

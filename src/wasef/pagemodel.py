@@ -9,14 +9,19 @@ injection idioms are flagged as potentially undercounted instead.
 Parsing is split in two steps. html_index() tokenizes a root document once
 into a frozen HtmlIndex: the referenced resources with their kind, resolved
 URL and byte offset, the text blocks, the interactive elements, the tag
-histogram, and the script spans and handler-attribute edits that the
-transforms rewrite, by character offset into the text. The index depends
-only on the root body's bytes and the root URL. A run evaluates one page
-under every solution in turn, and most solutions leave the root HTML
-unchanged, so the last few indexes are cached by (body, root URL), one
-cache per worker process. A changed root is tokenized again, but the URLs
-it shares with the page's root are resolved once per worker: every raw
-URL is resolved against its base through one memo (_resolve_url). A
+histogram, the script spans and handler-attribute edits that the
+transforms rewrite, by character offset into the text, and the handler
+values that js-dce counts as references. Which attributes are inline
+handlers is decided once, per start tag, by one rule (a lowercased name
+that starts with "on" and is longer than 2): the interactive elements,
+js-strip's edits and js-dce's references all read that one record.
+
+The index depends only on the root body's bytes and the root URL. A run
+evaluates one page under every solution in turn, and most solutions leave
+the root HTML unchanged, so the last few indexes are cached by (body, root
+URL), one cache per worker process. A changed root is tokenized again, but
+the URLs it shares with the page's root are resolved once per worker: every
+raw URL is resolved against its base through one memo (_resolve_url). A
 freshly forked worker starts with that memo empty, so resolving must be
 cheap when cold too: archive.normalize_url answers a canonical URL, or a
 root-relative reference against a canonical root, without urllib, and those
@@ -59,7 +64,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from html import unescape
-from html.parser import HTMLParser
+from html.parser import HTMLParser, attrfind_tolerant, tagfind_tolerant
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -89,8 +94,6 @@ _JS_KEYWORDS = {
     "let", "const", "do", "in", "of", "try",
 }
 _INJECTION_MARKERS = ("document.createElement('script'", 'document.createElement("script"', "new Image(")
-# An inline handler attribute with its value, as js-strip removes it.
-ON_ATTR_RE = re.compile(r"""\s+on[a-zA-Z]+\s*=\s*("[^"]*"|'[^']*'|[^\s>]+)""")
 
 
 @dataclass
@@ -185,7 +188,7 @@ class ResourceGraph:
         """Names defined at top level by the page's script sources. Scanned
         on first use: functional similarity asks only of a variant whose
         original has interactive elements."""
-        return frozenset().union(*map(jsscan.top_level_defined_names, self._script_sources))
+        return frozenset().union(*(jsscan.index(text).defined_names for text in self._script_sources))
 
     @functools.cached_property
     def maybe_undercounted(self) -> bool:
@@ -206,6 +209,42 @@ class ResourceGraph:
 
 def _collapse_ws(text: str) -> str:
     return " ".join(text.split())
+
+
+def _without_handlers(raw: str, on_attrs: Mapping[str, str]) -> str:
+    """A start tag's source text without the attributes named in
+    ``on_attrs``, the tag's handlers, every occurrence of each.
+
+    The tag is walked with html.parser's own patterns, so it splits as the
+    running html.parser splits it: the name and the separator after it,
+    then each attribute (name, optional value) and the separator after it.
+    A run of handlers goes with the separators inside it, and with the one
+    before it when ASCII whitespace or ">" follows it, whitespace that no
+    version reads as part of a name or value; otherwise the separator
+    before the run stays to keep what precedes it apart from what follows.
+    Between an attribute without a value and a next name that starts with
+    "=", which would become its value, a "/" is put."""
+    name = tagfind_tolerant.match(raw, 1)
+    parts, copied = [], 0
+    kept_end, valueless, pos = name.end(1), False, name.end()  # the name or the last attribute kept
+    run = None  # (start, end) of the handlers after it
+    while True:
+        match = attrfind_tolerant.match(raw, pos)
+        if match is not None and match.group(1).lower() in on_attrs:
+            run = (run[0] if run else match.start(), max(match.end(1), match.end(2)))
+        else:
+            if run is not None:
+                start, end = run
+                parts.append(raw[copied:kept_end if raw[end] in " \t\n\r\f>" else start])
+                if valueless and match is not None and match.group(1).startswith("="):
+                    parts.append("/")
+                copied, run = end, None
+            if match is None:
+                break
+            kept_end, valueless = max(match.end(1), match.end(2)), match.end(2) < 0
+        pos = match.end()
+    parts.append(raw[copied:])
+    return "".join(parts)
 
 
 def _handler_names(on_attrs: dict[str, str]) -> frozenset[str]:
@@ -282,7 +321,13 @@ class HtmlIndex:
     interactive_elements: tuple[InteractiveElement, ...]
     tag_histogram: Mapping[str, int]
     script_spans: tuple[ScriptSpan, ...]
-    handler_edits: tuple[tuple[int, int, str], ...]  # (start, end, start tag without on* attributes)
+    # Inline handlers: attributes whose lowercased name starts with "on" and
+    # is longer than 2, the one rule every reader of handlers follows.
+    # (start, end, the tag without its handlers) for each non-script start
+    # tag that has one, and each tag's handler values (the first of each
+    # name, as in interactive_elements), both in document order.
+    handler_edits: tuple[tuple[int, int, str], ...]
+    handler_text: tuple[str, ...]
 
 
 def decode_body(body: bytes) -> tuple[str, str]:
@@ -300,7 +345,8 @@ class _IndexBuilder:
     document text. Both drivers, _scan and _ParserDriver, call these three
     methods, so one piece of code builds every index. It collects resources,
     text runs, interactive elements, the body tag histogram, script element
-    spans and start tags carrying on* attributes. Offsets of resources and
+    spans, and the inline handlers of every start tag: their values, and the
+    edit that drops them from a non-script tag. Offsets of resources and
     text blocks are scaled to byte offsets as they are created."""
 
     def __init__(self, text: str, root_url: str, body_bytes: int):
@@ -314,6 +360,7 @@ class _IndexBuilder:
         self.tag_histogram: Counter = Counter()
         self.script_spans: list[ScriptSpan] = []
         self.handler_edits: list[tuple[int, int, str]] = []
+        self.handler_text: list[str] = []
         self._counter = 1  # 0 is reserved for the root resource
         self._in_head = False
         self._skip_text_depth = 0  # inside script/style
@@ -364,28 +411,28 @@ class _IndexBuilder:
                 self._inline_script = (self._byte_offset(offset), [])
             self._skip_text_depth += 1
             self._open_script = (offset, next((v for n, v in attrs if n.lower() == "src" and v), None))
-        else:
-            if "on" in raw:  # ON_ATTR_RE cannot match otherwise
-                cleaned = ON_ATTR_RE.sub("", raw)
-                if cleaned != raw:
-                    self.handler_edits.append((offset, offset + len(raw), cleaned))
-            if tag == "style":
-                self._skip_text_depth += 1
-            elif tag == "link":
-                rel = (attr_map.get("rel") or "").lower().split()
-                href = attr_map.get("href")
-                if "stylesheet" in rel and href:
-                    self._add_resource(href, KIND_STYLESHEET, offset)
-            elif tag in ("img", "iframe"):
-                src = attr_map.get("src")
-                if src:
-                    self._add_resource(src, KIND_IMAGE if tag == "img" else KIND_IFRAME, offset)
+        elif tag == "style":
+            self._skip_text_depth += 1
+        elif tag == "link":
+            rel = (attr_map.get("rel") or "").lower().split()
+            href = attr_map.get("href")
+            if "stylesheet" in rel and href:
+                self._add_resource(href, KIND_STYLESHEET, offset)
+        elif tag in ("img", "iframe"):
+            src = attr_map.get("src")
+            if src:
+                self._add_resource(src, KIND_IMAGE if tag == "img" else KIND_IFRAME, offset)
 
+        # The one rule for what an inline handler is.
         on_attrs = {
             name: value or ""
             for name, value in attr_map.items()
             if name.startswith("on") and len(name) > 2
         }
+        if on_attrs:
+            self.handler_text += on_attrs.values()
+            if tag != "script":
+                self.handler_edits.append((offset, offset + len(raw), _without_handlers(raw, on_attrs)))
         kind = _INTERACTIVE_TAGS.get(tag)
         if kind is None and on_attrs:
             kind = "handler_element"
@@ -461,6 +508,7 @@ class _IndexBuilder:
             tag_histogram=MappingProxyType(dict(self.tag_histogram)),
             script_spans=tuple(self.script_spans),
             handler_edits=tuple(self.handler_edits),
+            handler_text=tuple(self.handler_text),
         )
 
 

@@ -206,16 +206,6 @@ class _CsvFields(dict):
         return field
 
 
-def _write_csv(header: str, rows, path: Path) -> Path:
-    """Write a header and rows; only a field holding a comma, a quote or a
-    line break is quoted, so other fields keep their bytes."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    return write_text(text.getvalue(), path)
-
-
 def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     """Write deltas.csv and similarity.csv, plus skips.csv when there are
     skips, with stable lexicographic row order. Without skips, a skips.csv
@@ -236,7 +226,11 @@ def emit_csv(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     ]
     paths.append(write_text("page_id,solution,structural,functional\n" + "".join(lines), out / "similarity.csv"))
     if bundle.skip_report:
-        paths.append(_write_csv("page_id,solution,reason", sorted(bundle.skip_report), out / "skips.csv"))
+        lines = [
+            f"{quoted[page_id]},{quoted[solution]},{quoted[reason]}\n"
+            for page_id, solution, reason in sorted(bundle.skip_report)
+        ]
+        paths.append(write_text("page_id,solution,reason\n" + "".join(lines), out / "skips.csv"))
     else:
         try:
             (out / "skips.csv").unlink(missing_ok=True)

@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 from . import jsscan
 from .archive import ArchivedExchange, ArchivedPage, is_js_content_type
 from .errors import TransformFailed, UnknownTransform
-from .pagemodel import ON_ATTR_RE, HtmlIndex, decode_body, html_index
+from .pagemodel import HtmlIndex, decode_body, html_index
 
 log = logging.getLogger(__name__)
 
@@ -135,12 +135,14 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
     name is never referenced outside its own body, iterating to a fixpoint.
 
     References are counted lexically over every script (external and inline)
-    plus inline handler attributes; names that only appear inside strings
-    still count as references, so the pass only ever under-deletes.
+    plus the inline handler values the root's index records
+    (HtmlIndex.handler_text), the same handlers the similarity scorer
+    reads; no pattern is run over the document here. Names that only appear
+    inside strings still count as references, so the pass only ever
+    under-deletes.
     """
     index = _root_index(page)
     inline_texts = [index.text[span.start:span.end] for span in index.script_spans if not span.src]
-    handler_text = " ".join(match.group(1) for match in ON_ATTR_RE.finditer(index.text))
 
     script_texts: dict[str, tuple[str, str]] = {}  # url -> (text, codec)
     for (_, url), ex in page.exchanges.items():
@@ -149,7 +151,7 @@ def _js_dce(page: ArchivedPage, params: dict[str, str]) -> ArchivedPage:
 
     # Tokens of the inline scripts, handlers and every script as it stands. A
     # function is dead when its own body holds every token of its name.
-    tokens = jsscan.token_counts("\n".join(inline_texts + [handler_text]))
+    tokens = jsscan.token_counts("\n".join([*inline_texts, *index.handler_text]))
     indexes = {url: jsscan.index(text) for url, (text, _) in script_texts.items()}
     for ix in indexes.values():
         tokens.update(ix.tokens)

@@ -231,6 +231,12 @@ class TestConfig:
             ("solutions", ["identity", {"name": "img-downscale", "params": {"quality": "abc"}}],
              "solutions[1].params"),
             ("solutions", [{"name": "img-downscale", "params": {"quality": float("inf")}}], "solutions[0].params"),
+            ("out_dir", None, "out_dir"),
+            ("out_dir", 7, "out_dir"),
+            ("out_dir", "", "out_dir"),
+            ("archive_dir", None, "archive_dir"),
+            ("archive_dir", 7, "archive_dir"),
+            ("archive_dir", "", "archive_dir"),
         ],
     )
     def test_malformed_inline_value_names_its_field(self, tmp_path, key, value, field):
@@ -252,6 +258,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: network:") and len(err.splitlines()) == 1
         assert "bandwidth_bytes_per_sec" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["out_dir", "archive_dir"])
+    @pytest.mark.parametrize("value", [None, 7, ""])
+    def test_path_that_is_not_a_non_empty_string_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, key, value):
+        corpus = make_fixtures(tmp_path / "archive", 1, seed=1)
+        raw = self._raw(tmp_path / "archive", tmp_path / "out", corpus.pages)
+        raw[key] = value
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(raw))
+        cwd = tmp_path / "cwd"
+        (cwd / "variants" / "keep").mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {key}: must be a non-empty string\n"
+        assert sorted(p.name for p in cwd.iterdir()) == ["variants"] and (cwd / "variants" / "keep").is_dir()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("quality", [[0.2], {"q": 0.2}, None, 2, "abc", float("inf")])

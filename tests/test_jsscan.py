@@ -14,7 +14,7 @@ from wasef.fixtures import make_fixtures
 from wasef.transform import TransformSpec, apply_transform
 
 from conftest import page_from_parts
-from test_pagemodel_oracle import REF_ON_ATTR_RE, ref_decode_html, ref_scan_html
+from test_pagemodel_oracle import ref_decode_html, ref_scan_html
 
 # --- reference scanner: the per-character original, kept as the oracle -----
 
@@ -76,7 +76,7 @@ def ref_js_dce_bodies(page):
     html_text, _ = ref_decode_html(page.root_exchange().body)
     scanner = ref_scan_html(html_text)
     inline_texts = [html_text[s:e] for s, e, src in scanner.script_spans if not src]
-    handler_text = " ".join(m.group(1) for m in REF_ON_ATTR_RE.finditer(html_text))
+    handler_text = " ".join(scanner.handler_values)
     script_texts = {}
     for (_, url), ex in page.exchanges.items():
         if is_js_content_type(ex.content_type):

@@ -326,12 +326,53 @@ def ref_score_graphs(original_graph, variant_page, variant_graph):
 
 # --- reference tag scanner and the transforms that read it ------------------------
 
-REF_ON_ATTR_RE = re.compile(r"""\s+on[a-zA-Z]+\s*=\s*("[^"]*"|'[^']*'|[^\s>]+)""")
+# An attribute after its separator, as html.parser splits a start tag.
+REF_ATTR_RE = re.compile(r"""((?:\s|/(?!>))*)([^\s/>][^\s/=>]*)(\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?""")
+
+
+def ref_is_handler(name):
+    """An inline event handler's attribute name, lowercased."""
+    return len(name) > 2 and name[:2] == "on"
+
+
+def ref_drop_handlers(raw):
+    """A start tag's text without its handler attributes. A run of handlers
+    goes with the separators inside it; the separator before the run goes
+    too unless what follows the run is neither whitespace nor ">". A "/"
+    keeps an attribute without a value from taking a next name that starts
+    with "=" as its value."""
+    head = re.match(r"<[a-zA-Z][^\t\n\r\f />\x00]*", raw).group()
+    units = []  # (separator before, attribute, is a handler, has no value)
+    pos = len(head)
+    while (attr := REF_ATTR_RE.match(raw, pos)) is not None:
+        separator, name, value = attr.groups()
+        units.append((separator, name + (value or ""), ref_is_handler(name.lower()), value is None))
+        pos = attr.end()
+    tail = raw[pos:]
+    out = [head]
+    i = 0
+    while i < len(units):
+        separator, attr, handler, _ = units[i]
+        if not handler:
+            out += [separator, attr]
+            i += 1
+            continue
+        after_valueless = i > 0 and units[i - 1][3]
+        while i < len(units) and units[i][2]:
+            i += 1
+        following = units[i][0] + units[i][1] if i < len(units) else tail
+        if not re.match(r"[ \t\n\r\f>]", following):
+            out.append(separator)
+        if after_valueless and i < len(units) and units[i][1].startswith("="):
+            out.append("/")
+    out.append(tail)
+    return "".join(out)
 
 
 class RefTagScanner(HTMLParser):
-    """Locates script element spans and start tags carrying on* attributes,
-    as character offsets into the document text."""
+    """Locates script element spans and start tags carrying handler
+    attributes, as character offsets into the document text, and collects
+    the handler values of every start tag."""
 
     def __init__(self, text):
         super().__init__(convert_charrefs=True)
@@ -341,6 +382,7 @@ class RefTagScanner(HTMLParser):
             self._line_starts.append(self._line_starts[-1] + len(line) + 1)
         self.script_spans = []  # (start, end, src)
         self.handler_tags = []  # (start, end, replacement)
+        self.handler_values = []  # the first value of each handler name, per tag
         self._open_script = None
 
     def _offset(self):
@@ -349,6 +391,11 @@ class RefTagScanner(HTMLParser):
 
     def handle_starttag(self, tag, attrs):
         start = self._offset()
+        names = set()
+        for name, value in attrs:
+            if ref_is_handler(name) and name not in names:
+                self.handler_values.append(value or "")
+            names.add(name)
         if tag == "script":
             src = None
             for name, value in attrs:
@@ -357,10 +404,9 @@ class RefTagScanner(HTMLParser):
                     break
             self._open_script = (start, src)
             return
-        raw = self.get_starttag_text() or ""
-        cleaned = REF_ON_ATTR_RE.sub("", raw)
-        if cleaned != raw:
-            self.handler_tags.append((start, start + len(raw), cleaned))
+        if any(map(ref_is_handler, names)):
+            raw = self.get_starttag_text()
+            self.handler_tags.append((start, start + len(raw), ref_drop_handlers(raw)))
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs)
@@ -451,7 +497,7 @@ def ref_js_dce(page):
     html_text, _ = ref_decode_html(page.root_exchange().body)
     scanner = ref_scan_html(html_text)
     inline_texts = [html_text[s:e] for s, e, src in scanner.script_spans if not src]
-    handler_text = " ".join(m.group(1) for m in REF_ON_ATTR_RE.finditer(html_text))
+    handler_text = " ".join(scanner.handler_values)
     script_texts = {}
     for (_, url), ex in page.exchanges.items():
         if is_js_content_type(ex.content_type):

@@ -1,10 +1,12 @@
 """The strict scanner against html.parser: whenever the scanner accepts a
 document, the index it builds equals the one html.parser's tokens build, and
 the benchmark's pages all take the scanner. tests/test_pagemodel_oracle.py
-checks both paths against its frozen reference extractor."""
+checks both paths against its frozen reference extractor. js-strip's
+cleaned start tags are checked by tokenizing them again."""
 
 import importlib.util
 import sys
+from html.parser import HTMLParser
 from pathlib import Path
 
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from wasef import pagemodel
 from wasef.transform import TransformSpec, apply_transform
 
+from conftest import page_from_parts
 from test_pagemodel_oracle import elements
 
 ROOT_URL = "http://site.test/index.html"
@@ -201,3 +204,91 @@ def test_every_wide_page_root_takes_the_scanner(monkeypatch):
     pages = [widepages.build_wide_page(index, seed, tags).page
              for seed in (1, 2) for index, tags in enumerate(widepages.TAG_COUNTS)]
     assert _rejected(pages) == []
+
+
+# --- js-strip's cleaned start tags, tokenized again ------------------------------
+
+
+class _StartTags:
+    """The start tags the strict scanner reports: (name, attributes, "/>")."""
+
+    def __init__(self):
+        self.tags = []
+
+    def start(self, tag, attrs, offset, raw, closed):
+        self.tags.append((tag, attrs, closed))
+
+    def end(self, tag, offset):
+        pass
+
+    def data(self, data, offset):
+        pass
+
+
+class _ParserStartTags(HTMLParser):
+    """The start tags html.parser reports, as _StartTags records them."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.tags = []
+
+    def handle_starttag(self, tag, attrs):
+        self.tags.append((tag, attrs, False))
+
+    def handle_startendtag(self, tag, attrs):
+        self.tags.append((tag, attrs, True))
+
+
+def start_tags(text):
+    """A document's start tags: the scanner's where it accepts the whole
+    text, else html.parser's."""
+    scanned = _StartTags()
+    if pagemodel._scan(text, scanned):
+        return scanned.tags
+    parser = _ParserStartTags()
+    parser.feed(text)
+    parser.close()
+    return parser.tags
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\n", "\t", "\f", "/", " / ", "", "\v", "\xa0"])
+_ATTR_NAMES = st.sampled_from([
+    "onclick", "ONLOAD", "OnClick", "on-click", "onx", "one",  # handlers
+    "on", "ON", "o", "title", "id", "data-on", "x:y", "\xfcber",
+])
+_VALUE_TEXTS = st.sampled_from(["", "go()", "a onclick=go()", " onclick=go() ", "x>y", "a/b", "&amp;", "<b>"])
+_VALUES = st.one_of(
+    st.just(""),
+    st.builds("{}{}".format, st.sampled_from(["=", " = ", "\n=", "=="]), st.sampled_from(["go()", "x/", "a", "&lt;", "y=1"])),
+    st.builds('{}"{}"'.format, st.sampled_from(["=", " = "]), _VALUE_TEXTS),
+    st.builds("{}'{}'".format, st.sampled_from(["=", " = "]), _VALUE_TEXTS),
+)
+_START_TAGS = st.builds(
+    "<{}{}{}".format,
+    st.sampled_from(["div", "p", "a", "button", "img", "br", "input", "span", "DIV", "Body"]),
+    st.lists(st.builds("{}{}{}".format, _SEPARATORS, _ATTR_NAMES, _VALUES), max_size=5).map("".join),
+    st.sampled_from([">", "/>", " />", " >", "/ >"]),
+)
+
+
+@example(['<body ONLOAD="init()">'])
+@example(['<div OnClick="go()">x</div>'])
+@example(['<div on-click="go()">'])
+@example(["<div onclick>"])
+@example(['<div title="a onclick=go()">x</div>'])
+@example(["<img src=a.png onclick=\"go()\"/>", "<img alt=x onclick=go()/>"])
+@example(['<p id="x"onclick="go()"title="y">'])
+@given(st.lists(_START_TAGS, min_size=1, max_size=4))
+@settings(deadline=None)
+def test_js_strip_drops_exactly_the_handler_attributes(tags):
+    """Tokenized again, js-strip's root has every start tag of the original
+    with the same attributes in the same order, handlers left out. The
+    number of examples comes from the settings profile, as above."""
+    text = "x".join(tags)
+    page = page_from_parts(text)
+    stripped = apply_transform(TransformSpec(name="js-strip"), page).page.root_exchange().body
+    expected = [
+        (tag, [(name, value) for name, value in attrs if not (len(name) > 2 and name[:2] == "on")], closed)
+        for tag, attrs, closed in start_tags(text)
+    ]
+    assert start_tags(stripped.decode("utf-8")) == expected

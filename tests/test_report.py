@@ -73,6 +73,22 @@ class TestCsv:
         emit_csv(sample_bundle(skips=[("p9", "strip", "kaput")]), tmp_path)
         assert "p9,strip,kaput" in (tmp_path / "skips.csv").read_text()
 
+    def test_skips_file_bytes_equal_csv_writer(self, tmp_path):
+        skips = [
+            ("p1", "strip", "a, b"),
+            ("p1", "thin", 'said "no"'),
+            ("p2", "strip", "line\r\nbreak"),
+            ("p2", "thin", "cr\ronly"),
+            ("p3", "strip", "lf\nonly"),
+            ("p3", "thin", ""),
+        ]
+        emit_csv(sample_bundle(skips=reversed(skips)), tmp_path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["page_id", "solution", "reason"])
+        writer.writerows(skips)
+        assert (tmp_path / "skips.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_skips_file_of_an_earlier_bundle_is_removed(self, tmp_path):
         emit_csv(sample_bundle(skips=[("p9", "strip", "kaput")]), tmp_path)
         paths = emit_csv(sample_bundle(), tmp_path)

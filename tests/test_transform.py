@@ -8,6 +8,7 @@ from wasef.experiment import _unchanged
 from wasef.fixtures import build_fixture_page
 from wasef.loadsim import DEVICE_PROFILES, NETWORK_PROFILES, simulate_load
 from wasef.pagemodel import parse_page
+from wasef.similarity import score_graphs
 from wasef.transform import (
     DOWNSCALE_MARKER,
     TransformSpec,
@@ -203,6 +204,24 @@ class TestJsDce:
         twice = apply_transform(TransformSpec(name="js-dce"), once.page)
         for key, ex in once.page.exchanges.items():
             assert twice.page.exchanges[key].body == ex.body
+
+    def test_functional_score_equals_identity_with_uppercase_handlers(self):
+        # Handlers are named case-insensitively, as the similarity scorer
+        # reads them, and a script element's own onload counts too.
+        page = page_from_parts(
+            '<html><body ONLOAD="init()"><div OnClick="go()">x</div>'
+            '<script src="a.js" onload="boot()"></script></body></html>',
+            assets=[("/a.js", "application/javascript", b"function init(){}\nfunction go(){}\nfunction boot(){}\n")],
+        )
+        original = parse_page(page)
+        scores = {
+            name: score_graphs(original, parse_page(apply_transform(TransformSpec(name=name), page).page))
+            for name in ("identity", "js-dce")
+        }
+        assert scores["js-dce"].functional == scores["identity"].functional == 1.0
+        assert self._script(apply_transform(TransformSpec(name="js-dce"), page)) == page.lookup(
+            "http://site.test/a.js"
+        ).body.decode()
 
     def test_nested_functions_not_deleted(self):
         page = self._page(
